@@ -15,14 +15,22 @@
 // format. Backends are named by their registry key ("multibags",
 // "multibags+", ...), so a new backend is benchable without touching this
 // file.
+//
+// A table is only a measurement if its detector detects: a race-free kernel
+// that reports races, a structured kernel that breaks single-touch, or a
+// canary racy program that reports no race makes the bench exit 1.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "api/session.hpp"
+#include "corpus/manifest.hpp"
+#include "corpus/programs.hpp"
+#include "corpus/runner.hpp"
 #include "runtime/serial.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -84,6 +92,32 @@ struct case_row {
   bool expect_disciplined = false;  // assert 0 structured violations
 };
 
+[[noreturn]] inline void fail_table(const std::string& why) {
+  std::fprintf(stderr, "FAIL: %s\n", why.c_str());
+  std::exit(1);
+}
+
+// The detection-is-on canary, outside every timed region: the racy
+// wavefront-structured-large corpus program runs once at level full under
+// `backend` and must report racy granules. A level or hook policy that
+// silently stopped detecting reports none.
+inline void run_detection_canary(const std::string& backend) {
+  const corpus::manifest m = corpus::builtin_manifest();
+  const corpus::corpus_entry* e = m.find("wavefront-structured-large");
+  if (e == nullptr) fail_table("canary: no wavefront-structured-large entry");
+  session s(session::options{.backend = backend,
+                             .level = detect::level::full,
+                             .granule = e->granule});
+  corpus::find_program(e->program)->run(s, e->seed);
+  const std::size_t racy = s.report().racy_granules().size();
+  std::fprintf(stderr, "[fig] canary %s under %s: %zu racy granules\n",
+               e->name.c_str(), backend.c_str(), racy);
+  if (racy == 0) {
+    fail_table("canary " + e->name + " reported no racy granule under " +
+               backend + "; detection is off, so the table would time nothing");
+  }
+}
+
 // Runs the Figure 6/7 shape: all four configurations under one backend.
 // Returns per-benchmark overheads for the geomean summary.
 struct fig_result {
@@ -95,6 +129,7 @@ struct fig_result {
 inline fig_result run_four_config_table(const std::vector<case_row>& cases,
                                         const std::string& backend, int reps,
                                         const char* caption) {
+  run_detection_canary(backend);
   text_table table({"bench", "baseline", "reachability", "instr", "full",
                     "k(gets)", "races"});
   fig_result result;
@@ -112,15 +147,12 @@ inline fig_result run_four_config_table(const std::vector<case_row>& cases,
     const timing full = time_config(c.kernel, backend, detect::level::full, reps);
 
     if (c.expect_race_free && full.races != 0) {
-      std::fprintf(stderr, "WARNING: %s reported %llu races; expected none\n",
-                   c.name.c_str(),
-                   static_cast<unsigned long long>(full.races));
+      fail_table(c.name + " reported " + std::to_string(full.races) +
+                 " races under " + backend + "; the kernel is race-free");
     }
     if (c.expect_disciplined && full.violations != 0) {
-      std::fprintf(stderr,
-                   "WARNING: %s violated the structured discipline %llu times\n",
-                   c.name.c_str(),
-                   static_cast<unsigned long long>(full.violations));
+      fail_table(c.name + " violated the structured discipline " +
+                 std::to_string(full.violations) + " times");
     }
 
     table.add_row({c.name, text_table::seconds(base.seconds),

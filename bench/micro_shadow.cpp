@@ -1,18 +1,15 @@
-// Microbenchmarks for the shadow-memory stores: the full-detection
-// configuration pays one store step (lookup + reader/writer update) per
-// granule, so these per-op costs bound the "full vs instrumentation" gap in
-// Figures 6-7 — now swept across every registered store layout so the
-// hashed-page / compact trade-offs are visible side by side.
+// Microbenchmarks for the shadow store: the full-detection configuration
+// pays one store step (lookup + reader/writer update) per granule, so these
+// per-op costs bound the "full vs instrumentation" gap in Figures 6-7.
 //
-// Benchmarks are registered at runtime over shadow::store_registry, so an
-// out-of-tree store gets swept automatically. CI runs this with
-// --benchmark_out=BENCH_micro_shadow.json and uploads the snapshot next to
-// the replay-throughput one (perf/ keeps one per PR).
+// CI runs this with --benchmark_out=BENCH_micro_shadow.json and uploads the
+// snapshot next to the replay-throughput one (perf/ keeps one per PR);
+// perf_compare groups the rows by benchmark family (the name before the
+// first '/').
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <vector>
 
 #include "runtime/events.hpp"
 #include "shadow/store.hpp"
@@ -22,55 +19,59 @@ namespace {
 
 using frd::shadow::store;
 using frd::shadow::store_config;
-using frd::shadow::store_registry;
-
-std::unique_ptr<store> make_store(const std::string& name) {
-  return store_registry::instance().create(name, store_config{});
-}
 
 // Streaming writes: hot-page cache hit almost always. The writer-install
 // path with no prior state is the §3 fast path of race-free kernels.
-void BM_WriteStepSequential(benchmark::State& state, const std::string& name) {
-  auto st = make_store(name);
+void BM_WriteStepSequential(benchmark::State& state) {
+  store st(store_config{});
   std::uintptr_t addr = 0x100000;
   const auto ignore = [](frd::rt::strand_id, bool) {};
   for (auto _ : state) {
-    st->write_step(addr, 1, ignore);
+    st.write_step(addr, 1, ignore);
     addr += 4;
   }
   state.SetItemsProcessed(state.iterations());
 }
+BENCHMARK(BM_WriteStepSequential);
 
 // Random granules over a working set: the two-level lookup dominates once
-// the set outgrows the cache.
-void BM_ReadStepRandom(benchmark::State& state, const std::string& name) {
-  auto st = make_store(name);
+// the set outgrows the cache. Every page of the set is materialized before
+// the timed loop, so the row times lookups, not first-touch page
+// allocation (which made the largest set's row swing 1000x between runs).
+void BM_ReadStepRandom(benchmark::State& state) {
+  const store_config cfg;
+  store st(cfg);
   frd::prng rng(3);
   const std::uintptr_t span = static_cast<std::uintptr_t>(state.range(0));
+  const std::uintptr_t page_bytes = std::uintptr_t{4} << cfg.page_bits;
+  for (std::uintptr_t a = 0; a < span; a += page_bytes) {
+    st.read_step(0x100000 + a, 1);
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        st->read_step(0x100000 + (rng.below(span) & ~std::uintptr_t{3}), 1));
+        st.read_step(0x100000 + (rng.below(span) & ~std::uintptr_t{3}), 1));
   }
   state.SetLabel("working set bytes");
   state.SetItemsProcessed(state.iterations());
 }
+BENCHMARK(BM_ReadStepRandom)->Arg(1 << 16)->Arg(1 << 22)->Arg(1 << 26);
 
 // The §3 protocol on one location: r readers accumulate, one writer purges
 // (and sweeps every reader through the prior callback).
-void BM_ReaderAppendPurgeCycle(benchmark::State& state,
-                               const std::string& name) {
+void BM_ReaderAppendPurgeCycle(benchmark::State& state) {
   const int readers = static_cast<int>(state.range(0));
-  auto st = make_store(name);
+  store st(store_config{});
   std::uint32_t strand = 0;
   std::uint64_t sum = 0;
   const auto fold = [&sum](frd::rt::strand_id s, bool) { sum += s; };
   for (auto _ : state) {
-    for (int i = 0; i < readers; ++i) st->read_step(0x5000, ++strand);
-    st->write_step(0x5000, ++strand, fold);
+    for (int i = 0; i < readers; ++i) st.read_step(0x5000, ++strand);
+    st.write_step(0x5000, ++strand, fold);
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * (readers + 1));
 }
+BENCHMARK(BM_ReaderAppendPurgeCycle)->Arg(1)->Arg(3)->Arg(16)->Arg(256);
 
 // Every dag event on the live and online paths funnels through
 // listener_mux; the empty/single fast path (one branch + direct forward
@@ -102,39 +103,14 @@ void BM_ListenerMuxDispatch(benchmark::State& state) {
   benchmark::DoNotOptimize(total);
   state.SetItemsProcessed(state.iterations());
 }
+// ArgName makes the rows "BM_ListenerMuxDispatch/listeners:N".
+BENCHMARK(BM_ListenerMuxDispatch)
+    ->ArgName("listeners")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // ArgName makes the row "BM_ListenerMuxDispatch/listeners:N", which also
-  // reads as the group label in perf_compare's micro trajectory.
-  benchmark::RegisterBenchmark("BM_ListenerMuxDispatch", BM_ListenerMuxDispatch)
-      ->ArgName("listeners")
-      ->Arg(0)
-      ->Arg(1)
-      ->Arg(2)
-      ->Arg(4);
-  for (const std::string& name : store_registry::instance().names()) {
-    benchmark::RegisterBenchmark(
-        ("BM_WriteStepSequential/" + name).c_str(),
-        [name](benchmark::State& s) { BM_WriteStepSequential(s, name); });
-    benchmark::RegisterBenchmark(
-        ("BM_ReadStepRandom/" + name).c_str(),
-        [name](benchmark::State& s) { BM_ReadStepRandom(s, name); })
-        ->Arg(1 << 16)
-        ->Arg(1 << 22)
-        ->Arg(1 << 26);
-    benchmark::RegisterBenchmark(
-        ("BM_ReaderAppendPurgeCycle/" + name).c_str(),
-        [name](benchmark::State& s) { BM_ReaderAppendPurgeCycle(s, name); })
-        ->Arg(1)
-        ->Arg(3)
-        ->Arg(16)
-        ->Arg(256);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -70,7 +70,6 @@ struct row {
   std::string trace;  // corpus entry name, or "fuzz" in fuzz mode
   std::string format = "frdt";  // artifact format: frdt | frdtz | memory
   std::string backend;
-  std::string store;
   std::size_t batch = 256;  // player run length (session replay_batch)
   double sample_rate = 1.0; // sampling-mode rate (1.0 = full detection)
   std::size_t history_depth = shadow::kUnboundedHistory;
@@ -91,21 +90,20 @@ struct bench_settings {
   std::size_t history_depth = shadow::kUnboundedHistory;
 };
 
-// Replays `tape` through `backend` on `store` with the given player batch
-// size; `cfg.warmup` discarded replays, then
-// `cfg.reps` measured ones fill the timing columns (mean, min, median,
-// stddev — throughput is derived from the mean). All correctness checks
-// happen on the session state AFTER the timer stops.
+// Replays `tape` through `backend` with the given player batch size;
+// `cfg.warmup` discarded replays, then `cfg.reps` measured ones fill the
+// timing columns (mean, min, median, stddev — throughput is derived from the
+// mean). All correctness checks happen on the session state AFTER the timer
+// stops.
 row bench_backend(trace::memory_trace& tape, const std::string& name,
-                  const std::string& backend, const std::string& store,
-                  std::size_t batch, const bench_settings& cfg) {
+                  const std::string& backend, std::size_t batch,
+                  const bench_settings& cfg) {
   std::vector<double> times;
   std::uint64_t racy = 0;
   for (int r = 0; r < cfg.reps + cfg.warmup; ++r) {
     tape.rewind();
     session s(session::options{.backend = backend,
                                .granule = tape.header().granule,
-                               .shadow_store = store,
                                .replay_batch = batch,
                                .sample_rate = cfg.sample_rate,
                                .shadow_history_depth = cfg.history_depth});
@@ -119,7 +117,6 @@ row bench_backend(trace::memory_trace& tape, const std::string& name,
   row out;
   out.trace = name;
   out.backend = backend;
-  out.store = store;
   out.batch = batch;
   out.sample_rate = cfg.sample_rate;
   out.history_depth = cfg.history_depth;
@@ -181,8 +178,7 @@ void write_json(const std::string& path, const std::string& mode,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const row& r = rows[i];
     json << "    {\"trace\": \"" << r.trace << "\", \"format\": \""
-         << r.format << "\", \"backend\": \"" << r.backend << "\", \"store\": \""
-         << r.store
+         << r.format << "\", \"backend\": \"" << r.backend
          << "\", \"batch\": " << r.batch << ", \"sample_rate\": " << r.sample_rate << ", \"history_depth\": ";
     if (r.history_depth == shadow::kUnboundedHistory) {
       json << "\"unbounded\"";
@@ -210,13 +206,13 @@ void write_json(const std::string& path, const std::string& mode,
 }
 
 void print_table(const std::vector<row>& rows, const char* title) {
-  text_table table({"trace", "backend", "store", "batch", "rate", "depth",
+  text_table table({"trace", "backend", "batch", "rate", "depth",
                     "events", "mean", "median", "events/sec", "racy"});
   for (const row& r : rows) {
     char eps[64], rate[32];
     std::snprintf(eps, sizeof(eps), "%.3g", r.events_per_sec);
     std::snprintf(rate, sizeof(rate), "%g", r.sample_rate);
-    table.add_row({r.trace, r.backend, r.store, std::to_string(r.batch), rate,
+    table.add_row({r.trace, r.backend, std::to_string(r.batch), rate,
                    r.history_depth == shadow::kUnboundedHistory
                        ? std::string("inf")
                        : std::to_string(r.history_depth),
@@ -228,7 +224,7 @@ void print_table(const std::vector<row>& rows, const char* title) {
               table.render().c_str());
 }
 
-int run_corpus_mode(const std::string& dir, const std::string& store,
+int run_corpus_mode(const std::string& dir,
                     const std::vector<std::size_t>& batches,
                     const std::vector<double>& rates, bench_settings cfg,
                     const std::string& json_path) {
@@ -243,7 +239,7 @@ int run_corpus_mode(const std::string& dir, const std::string& store,
       for (const std::size_t batch : batches) {
         for (const double rate : rates) {
           cfg.sample_rate = rate;
-          row r = bench_backend(tape, e.name, backend, store, batch, cfg);
+          row r = bench_backend(tape, e.name, backend, batch, cfg);
           r.format = compressed ? "frdtz" : "frdt";
           // Correctness gate, outside the timed region: full detection must
           // match the golden byte for byte; a (granule-policy) sampled or
@@ -264,7 +260,7 @@ int run_corpus_mode(const std::string& dir, const std::string& store,
     }
   }
   print_table(rows, (std::to_string(m.entries.size()) + "-entry corpus, " +
-                     std::to_string(cfg.reps) + " reps, store " + store)
+                     std::to_string(cfg.reps) + " reps")
                         .c_str());
   write_json(json_path, "corpus", rows);
   return 0;
@@ -286,10 +282,6 @@ int main(int argc, char** argv) {
   auto& cells = flags.int_flag("cells", 64, "distinct shared memory cells");
   auto& json_path = flags.string_flag("json", "BENCH_replay_throughput.json",
                                       "machine-readable output file");
-  auto& store = flags.string_flag(
-      "store", std::string(shadow::kDefaultStore),
-      "shadow store to replay on (the per-PR snapshot uses the default "
-      "store so the perf trajectory stays comparable)");
   auto& batch_spec = flags.string_flag(
       "batch-size", "256",
       "player run length(s) per on_accesses batch; comma-separated to sweep "
@@ -338,17 +330,10 @@ int main(int argc, char** argv) {
   settings.history_depth = history_depth == 0
                                ? shadow::kUnboundedHistory
                                : static_cast<std::size_t>(history_depth);
-  try {
-    shadow::store_registry::instance().at(store);  // fail fast with the list
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "replay_throughput: %s\n", e.what());
-    return 1;
-  }
 
   if (!corpus_dir.empty()) {
     try {
-      return run_corpus_mode(corpus_dir, store, batches, rates, settings,
-                             json_path);
+      return run_corpus_mode(corpus_dir, batches, rates, settings, json_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "replay_throughput: %s\n", e.what());
       return 1;
@@ -376,7 +361,7 @@ int main(int argc, char** argv) {
     for (const std::size_t batch : batches) {
       for (const double rate : rates) {
         settings.sample_rate = rate;
-        row r = bench_backend(tape, "fuzz", name, store, batch, settings);
+        row r = bench_backend(tape, "fuzz", name, batch, settings);
         r.format = "memory";
         if (rate == 1.0 &&
             settings.history_depth == shadow::kUnboundedHistory) {

@@ -18,13 +18,14 @@ session::session(options opt) : opt_(std::move(opt)) {
   }
   const detect::backend_registry& reg = detect::backend_registry::instance();
   info_ = &reg.at(opt_.backend);  // throws backend_error listing names
+  if (opt_.shadow_store != shadow::kDefaultStore) {
+    throw shadow::unknown_store(opt_.shadow_store);
+  }
   det_ = std::make_unique<detect::detector>(
       info_->make(), detect::detector_config{
                          .lvl = opt_.level,
                          .granule = opt_.granule,
                          .max_retained_races = opt_.max_retained_races,
-                         .shadow_store = opt_.shadow_store,
-                         .shadow_page_bits = opt_.shadow_page_bits,
                          .sample_rate = opt_.sample_rate,
                          .sample_seed = opt_.sample_seed,
                          .sampling = opt_.sampling,

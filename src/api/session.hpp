@@ -108,12 +108,10 @@ class session {
     std::size_t granule = 4;
     // Full race records kept for diagnostics (counting dedupes regardless).
     std::size_t max_retained_races = detect::race_report::kDefaultRetained;
-    // Shadow-memory store (shadow::store_registry key): "hashed-page" (the
-    // two-level baseline) or "compact" (SoA pages + arena overflow). Every
-    // store yields the identical race report; they differ in layout
-    // (README "Shadow-memory stores").
+    // Shadow-memory store name. The one store is "hashed-page", the
+    // paper's two-level layout (DESIGN.md §2); any other name throws
+    // shadow::store_error.
     std::string shadow_store = std::string(shadow::kDefaultStore);
-    unsigned shadow_page_bits = 16;
     // Replay only: longest run of access events handed to the detector in
     // one batched on_accesses call (trace_player::kDefaultBatchCapacity).
     // Also bounds how many accesses share one batched reachability query;
@@ -154,7 +152,8 @@ class session {
       : session(options{.backend = std::move(backend_name)}) {}
   explicit session(const char* backend_name)
       : session(options{.backend = backend_name}) {}
-  // Throws detect::backend_error when options::backend is not registered.
+  // Throws detect::backend_error when options::backend is not registered,
+  // shadow::store_error when options::shadow_store is not "hashed-page".
   explicit session(options opt);
   ~session();
   session(const session&) = delete;
@@ -196,14 +195,14 @@ class session {
   std::uint64_t replay(trace::trace_source& src, const replay_checkpoint& cp);
 
   // Returns the session to its pristine post-construction state under the
-  // same options: fresh backend and shadow store (pages and arenas
+  // same options: fresh backend and shadow store (pages and reader overflow
   // released), report/counters/query-plane caches cleared (retaining buffer
   // capacity), mode back to live, recorder and extra listeners detached.
   // After reset() the session can run, record, or replay again — the seam
   // that lets the ingest daemon's pool recycle sessions across streams.
   void reset();
 
-  // Memory accounting snapshot (shadow pages, store arena bytes, report
+  // Memory accounting snapshot (shadow pages, reader overflow, report
   // capacity in use) — the counters the serve daemon's per-session budget
   // enforcement reads; `frd-trace run` prints them.
   detect::memory_stats memory_stats() const { return det_->memory(); }

@@ -68,12 +68,10 @@ namespace {
 
 // Replay outcome in golden_report shape, so diffing is uniform.
 golden_report replay_report(trace::memory_trace& tape,
-                            const std::string& backend,
-                            const std::string& store) {
+                            const std::string& backend) {
   tape.rewind();
   session s(session::options{.backend = backend,
-                             .granule = tape.header().granule,
-                             .shadow_store = store});
+                             .granule = tape.header().granule});
   const std::uint64_t events = s.replay(tape);
   tape.rewind();
   golden_report r;
@@ -92,14 +90,11 @@ golden_report replay_report(trace::memory_trace& tape,
 
 golden_report gold_from_trace(trace::memory_trace& tape,
                               detect::future_support futures) {
-  // Goldens are derived on the default store; cross-store conformance is
-  // what pins the other layouts to the same answers.
-  const std::string store{shadow::kDefaultStore};
-  golden_report g = replay_report(tape, "reference", store);
+  golden_report g = replay_report(tape, "reference");
   if (futures == detect::future_support::structured) {
     // The reference backend does not count discipline violations; anchor
     // that number with MultiBags, the §4 algorithm that defines it.
-    g.violations = replay_report(tape, "multibags", store).violations;
+    g.violations = replay_report(tape, "multibags").violations;
   } else {
     g.violations = 0;  // no violation-counting backend replays general traces
   }
@@ -108,13 +103,12 @@ golden_report gold_from_trace(trace::memory_trace& tape,
 
 std::vector<std::string> check_backend(trace::memory_trace& tape,
                                        const golden_report& golden,
-                                       const std::string& backend,
-                                       const std::string& store) {
+                                       const std::string& backend) {
   const bool counts =
       detect::backend_registry::instance().at(backend).counts_violations;
   golden_report actual;
   try {
-    actual = replay_report(tape, backend, store);
+    actual = replay_report(tape, backend);
   } catch (const std::exception& ex) {
     return {std::string("replay threw: ") + ex.what()};
   }
@@ -214,11 +208,8 @@ manifest builtin_manifest() {
 }
 
 verify_result verify_corpus(const manifest& m, const std::string& dir,
-                            std::string_view only_backend,
-                            std::string_view only_store) {
+                            std::string_view only_backend) {
   verify_result out;
-  const std::vector<std::string> stores =
-      shadow::store_registry::instance().names();
   for (const corpus_entry& e : m.entries) {
     trace::memory_trace tape;
     golden_report golden;
@@ -226,15 +217,13 @@ verify_result verify_corpus(const manifest& m, const std::string& dir,
       tape = load_trace(dir + "/" + e.trace_file);
       golden = load_golden(dir + "/" + e.golden_file);
     } catch (const std::exception& ex) {
-      out.failures.push_back(
-          {e.name, "<corpus artifact>", "<any>", {ex.what()}});
+      out.failures.push_back({e.name, "<corpus artifact>", {ex.what()}});
       continue;
     }
     if (tape.header().granule != e.granule) {
       out.failures.push_back(
           {e.name,
            "<corpus artifact>",
-           "<any>",
            {"manifest says granule " + std::to_string(e.granule) +
             " but the trace header says " +
             std::to_string(tape.header().granule)}});
@@ -242,25 +231,17 @@ verify_result verify_corpus(const manifest& m, const std::string& dir,
     }
     for (const std::string& backend : eligible_backends(e.futures)) {
       if (!only_backend.empty() && backend != only_backend) continue;
-      for (const std::string& store : stores) {
-        if (!only_store.empty() && store != only_store) continue;
-        ++out.checks;
-        std::vector<std::string> details =
-            check_backend(tape, golden, backend, store);
-        if (!details.empty()) {
-          out.failures.push_back({e.name, backend, store, std::move(details)});
-        }
+      ++out.checks;
+      std::vector<std::string> details = check_backend(tape, golden, backend);
+      if (!details.empty()) {
+        out.failures.push_back({e.name, backend, std::move(details)});
       }
     }
   }
   if (out.checks == 0) {
     std::string why;
-    if (!only_store.empty() &&
-        shadow::store_registry::instance().find(only_store) == nullptr) {
-      why = "store '" + std::string(only_store) +
-            "' is not registered — 0 checks is not a pass";
-    } else if (only_backend.empty()) {
-      why = "no (entry, backend, store) triple was checked";
+    if (only_backend.empty()) {
+      why = "no (entry, backend) pair was checked";
     } else {
       why = "backend '" + std::string(only_backend) +
             "' is eligible for no corpus entry (fork-join-only or "
@@ -269,7 +250,6 @@ verify_result verify_corpus(const manifest& m, const std::string& dir,
     out.failures.push_back(
         {"<corpus>",
          std::string(only_backend.empty() ? "<none>" : only_backend),
-         std::string(only_store.empty() ? "<any>" : only_store),
          {std::move(why)}});
   }
   return out;

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "corpus/manifest.hpp"
-#include "shadow/store.hpp"
 #include "trace/event.hpp"
 
 namespace frd::corpus {
@@ -49,29 +48,24 @@ trace::memory_trace record_entry(const corpus_entry& e);
 golden_report gold_from_trace(trace::memory_trace& tape,
                               detect::future_support futures);
 
-// Replays `tape` through `backend` on the given shadow store and diffs the
-// outcome against `golden`. Returns divergence lines (empty = conforms);
-// each names the mismatched quantity and the exact granules involved.
-// Violation counts are compared only for backends that declare
-// counts_violations. Goldens are store-independent by construction: every
-// registered store must reproduce them byte-identically, which is exactly
-// what verify_corpus holds the (entry × backend × store) cube to.
-std::vector<std::string> check_backend(
-    trace::memory_trace& tape, const golden_report& golden,
-    const std::string& backend,
-    const std::string& store = std::string(shadow::kDefaultStore));
+// Replays `tape` through `backend` and diffs the outcome against `golden`.
+// Returns divergence lines (empty = conforms); each names the mismatched
+// quantity and the exact granules involved. Violation counts are compared
+// only for backends that declare counts_violations.
+std::vector<std::string> check_backend(trace::memory_trace& tape,
+                                       const golden_report& golden,
+                                       const std::string& backend);
 
-// One (backend, store) verdict on one entry, for callers that aggregate.
+// One backend's verdict on one entry, for callers that aggregate.
 struct divergence {
   std::string entry;
   std::string backend;
-  std::string store;
   std::vector<std::string> details;  // what diverged, granule by granule
 };
 
 struct verify_result {
   std::vector<divergence> failures;
-  std::size_t checks = 0;  // (entry × backend × store) replays performed
+  std::size_t checks = 0;  // (entry × backend) replays performed
   bool ok() const { return failures.empty(); }
 };
 
@@ -86,15 +80,13 @@ void save_golden(const std::string& path, const golden_report& g);
 manifest builtin_manifest();
 
 // Verifies every entry of `m` (trace files resolved relative to `dir`)
-// against its golden through every eligible backend × every registered
-// shadow store — the one verify engine behind `frd-corpus verify` and the
-// conformance test's aggregate checks. A missing or unreadable trace/golden
-// becomes a divergence too — verify must fail loudly, not skip.
-// `only_backend` / `only_store` restrict to one backend / store name; a
-// restriction that matches zero (entry, backend, store) triples is itself a
-// failure (verifying nothing must not read as success).
+// against its golden through every eligible backend — the one verify engine
+// behind `frd-corpus verify` and the conformance test's aggregate checks. A
+// missing or unreadable trace/golden becomes a divergence too — verify must
+// fail loudly, not skip. `only_backend` restricts to one backend name; a
+// restriction that matches zero (entry, backend) pairs is itself a failure
+// (verifying nothing must not read as success).
 verify_result verify_corpus(const manifest& m, const std::string& dir,
-                            std::string_view only_backend = {},
-                            std::string_view only_store = {});
+                            std::string_view only_backend = {});
 
 }  // namespace frd::corpus

@@ -33,6 +33,11 @@ std::uint64_t sample_threshold_of(double rate) {
   return sampling::threshold53(rate);
 }
 
+shadow::store_config store_config_of(const detector_config& cfg) {
+  return {.granule_shift = granule_shift_of(cfg.granule),
+          .history_depth = cfg.shadow_history_depth};
+}
+
 }  // namespace
 
 detector::detector(std::unique_ptr<reachability_backend> backend,
@@ -42,22 +47,17 @@ detector::detector(std::unique_ptr<reachability_backend> backend,
       sample_thresh53_(sample_threshold_of(cfg_.sample_rate)),
       sampling_active_(cfg_.sample_rate < 1.0),
       backend_(std::move(backend)),
-      // The store registry validates page bits and the history depth
-      // (store_error, which the session surfaces like an unknown backend
-      // name).
-      shadow_(shadow::store_registry::instance().create(
-          cfg_.shadow_store,
-          shadow::store_config{.page_bits = cfg_.shadow_page_bits,
-                               .granule_shift = granule_shift_of(cfg_.granule),
-                               .history_depth = cfg_.shadow_history_depth})),
+      // The store validates the history depth (store_error, which the
+      // session surfaces like an unknown backend name).
+      shadow_(std::in_place, store_config_of(cfg_)),
       report_(cfg_.max_retained_races) {
   FRD_CHECK_MSG(backend_ != nullptr, "detector needs a reachability backend");
 }
 
 detector::~detector() = default;
 
-// Every shipped store only grows its reservations within a run, so sampling
-// at run boundaries and memory() observations makes the peaks exact, not
+// The store only grows its reservations within a run, so sampling at run
+// boundaries and memory() observations makes the peaks exact, not
 // approximate — but the peak_* contract deliberately does not depend on
 // that monotonicity.
 void detector::note_memory_peak() const {
@@ -84,19 +84,15 @@ memory_stats detector::memory() const {
 }
 
 // Pristine state under the same config: the shadow store is re-created (the
-// one operation that releases its pages and arenas wholesale), the report
-// and query-plane buffers clear in place keeping capacity — that retained
-// capacity is what makes recycling a pooled session cheaper than
+// one operation that releases its pages and reader overflow wholesale), the
+// report and query-plane buffers clear in place keeping capacity — that
+// retained capacity is what makes recycling a pooled session cheaper than
 // constructing a fresh one.
 void detector::reset(std::unique_ptr<reachability_backend> fresh_backend) {
   FRD_CHECK_MSG(fresh_backend != nullptr,
                 "detector::reset needs a fresh reachability backend");
   backend_ = std::move(fresh_backend);
-  shadow_ = shadow::store_registry::instance().create(
-      cfg_.shadow_store,
-      shadow::store_config{.page_bits = cfg_.shadow_page_bits,
-                           .granule_shift = granule_shift_of(cfg_.granule),
-                           .history_depth = cfg_.shadow_history_depth});
+  shadow_.emplace(store_config_of(cfg_));
   report_.reset();
   fut_touched_.clear();
   current_ = rt::kNoStrand;

@@ -14,17 +14,16 @@
 //
 // The public entry point is frd::session (src/api/session.hpp), which owns
 // a detector, its backend (resolved by name through the backend_registry),
-// its shadow store (resolved through the shadow::store_registry), the
-// runtime binding, and the hook-sink installation:
+// the runtime binding, and the hook-sink installation:
 //
 //   frd::session s({.backend = "multibags+", .level = frd::level::full});
 //   s.run([&] { ... instrumented program on s.runtime() ... });
 //   if (s.report().any()) ...
 //
-// The detector itself is backend- and store-agnostic: it consumes runtime
-// events, forwards them when the level tracks reachability, enforces the
-// backend's declared capability envelope (future_support), and implements
-// the §3 access protocol on top of the backend's reachability_view and the
+// The detector itself is backend-agnostic: it consumes runtime events,
+// forwards them when the level tracks reachability, enforces the backend's
+// declared capability envelope (future_support), and implements the §3
+// access protocol on top of the backend's reachability_view and its shadow
 // store's read_step/write_step. Reachability questions are BATCHED
 // (DESIGN.md §4): each access run's store steps only collect race
 // candidates; the distinct prior strands not already answered by the
@@ -43,6 +42,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,9 +74,6 @@ struct detector_config {
   // artifact uses 4-byte granules.
   std::size_t granule = 4;
   std::size_t max_retained_races = race_report::kDefaultRetained;
-  // Shadow store selection (shadow::store_registry key) and its sizing.
-  std::string shadow_store = std::string(shadow::kDefaultStore);
-  unsigned shadow_page_bits = 16;
   // Sampling mode (DESIGN.md §8): run the full §3 protocol on a seeded,
   // reproducible fraction of accesses. A sampled-out access skips the
   // shadow-store step AND the reachability query entirely — the carve-out
@@ -117,13 +114,13 @@ struct query_plane_stats {
 // Memory accounting of one detection run — the counters the ingest daemon's
 // per-session budget enforcement reads (src/serve/) and `frd-trace run`
 // prints. store_bytes is the shadow store's reservation (page storage plus
-// its arenas). Most fields are a current snapshot; the peak_* fields are the
-// run's high-water marks, maintained by the detector at every batched access
-// run boundary and refreshed whenever memory() is taken — budget enforcement
-// must charge the peak, or transient spikes between observation points
-// escape it. Peaks clear with reset().
+// the heap its reader lists overflowed into). Most fields are a current
+// snapshot; the peak_* fields are the run's high-water marks, maintained by
+// the detector at every batched access run boundary and refreshed whenever
+// memory() is taken — budget enforcement must charge the peak, or transient
+// spikes between observation points escape it. Peaks clear with reset().
 struct memory_stats {
-  std::size_t store_bytes = 0;       // shadow pages + store-owned arenas
+  std::size_t store_bytes = 0;       // shadow pages + reader overflow
   std::size_t store_pages = 0;       // materialized shadow pages
   std::size_t report_retained = 0;   // full race records currently kept
   std::size_t report_capacity = 0;   // session::options::max_retained_races
@@ -159,10 +156,10 @@ class detector final : public rt::execution_listener, public hooks::access_sink 
   memory_stats memory() const;
 
   // Returns the detector to its pristine post-construction state under the
-  // same configuration, adopting `fresh_backend` (the old backend, shadow
-  // pages, and store arenas are released; counters, report, and query-plane
-  // caches clear but keep their capacity). frd::session::reset() drives this
-  // so pooled sessions recycle across runs.
+  // same configuration, adopting `fresh_backend` (the old backend and the
+  // shadow pages with their reader overflow are released; counters, report,
+  // and query-plane caches clear but keep their capacity).
+  // frd::session::reset() drives this so pooled sessions recycle across runs.
   void reset(std::unique_ptr<reachability_backend> fresh_backend);
 
   // Optional observer invoked once per recorded race, in encounter order,
@@ -270,7 +267,8 @@ class detector final : public rt::execution_listener, public hooks::access_sink 
   const std::uint64_t sample_thresh53_;
   const bool sampling_active_;  // rate < 1.0: the carve-out is armed
   std::unique_ptr<reachability_backend> backend_;
-  std::unique_ptr<shadow::store> shadow_;
+  // Held in place (no pointer hop per access); reset() re-emplaces it.
+  std::optional<shadow::store> shadow_;
   race_report report_;
   std::vector<std::uint8_t> fut_touched_;  // structured-only: gets per future
   rt::strand_id current_ = rt::kNoStrand;

@@ -144,7 +144,11 @@ std::size_t engine::drain_rings() {
 void engine::wait_for_records() {
   unsigned idle = 0;
   while (drain_rings() == 0) {
-    if (stop_.load(std::memory_order_acquire) && drain_rings() == 0) {
+    if (stop_.load(std::memory_order_acquire)) {
+      // Everything the program logged was pushed before stop_ was set, so
+      // one more drain either makes progress (records that landed since
+      // the drain above) or proves the stream ended.
+      if (drain_rings() != 0) return;
       throw online_error(
           "online event stream ended before the canonical walk completed "
           "(program torn down mid-run)");

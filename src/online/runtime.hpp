@@ -100,10 +100,14 @@ namespace detail {
 template <typename F>
 struct child_task final : rt::par::task {
   child_task(engine* eng, std::uint32_t node, rt::par::frame* parent, F&& fn)
-      : eng_(eng), node_(node), parent_(parent), fn_(std::move(fn)) {}
+      : task(parent->mint_child()),
+        eng_(eng),
+        node_(node),
+        parent_(parent),
+        fn_(std::move(fn)) {}
   void execute(rt::par::scheduler& sched) override {
     const std::uint32_t prev = engine::bind_node(node_);
-    rt::par::run_as_function(sched, fn_);
+    rt::par::run_as_function(sched, pos, fn_);
     wire_rec r;
     r.node = node_;
     r.kind = op::end;
@@ -125,7 +129,7 @@ struct child_task final : rt::par::task {
 template <typename State>
 struct future_task final : rt::par::task {
   future_task(std::shared_ptr<State> st, engine* eng)
-      : st_(std::move(st)), eng_(eng) {}
+      : task(st->core.pos), st_(std::move(st)), eng_(eng) {}
   void execute(rt::par::scheduler& sched) override {
     st_->core.run_if_pending(sched);
     eng_->note_task_finished();
@@ -159,7 +163,8 @@ class runtime {
     rt::par::scheduler& s = eng_.sched();
     s.enter_host();
     const std::uint32_t prev_node = engine::bind_node(0);
-    rt::par::frame fr;
+    const rt::par::position main_pos;
+    rt::par::frame fr(main_pos);
     rt::par::frame* prev_frame = s.swap_current_frame(&fr);
     try {
       root();
@@ -212,11 +217,12 @@ class runtime {
   template <typename F>
   auto create_future(F&& f) -> future<std::invoke_result_t<F&>> {
     using R = std::invoke_result_t<F&>;
-    FRD_CHECK_MSG(eng_.sched().current_frame() != nullptr,
-                  "create_future outside run()");
+    rt::par::frame* fr = eng_.sched().current_frame();
+    FRD_CHECK_MSG(fr != nullptr, "create_future outside run()");
     auto st = std::make_shared<detail::fstate<R>>();
     st->node = eng_.alloc_node();
     st->eng = &eng_;
+    st->core.pos = fr->mint_child();
     // fn rides in a shared_ptr because std::function needs a copyable
     // callable; the raw back-pointer into the state is safe — the closure
     // is owned by that same state.
@@ -231,7 +237,7 @@ class runtime {
           st->core.value.emplace((*fn)());
         }
       };
-      rt::par::run_as_function(sched, body);
+      rt::par::run_as_function(sched, st->core.pos, body);
       wire_rec r;
       r.node = st->node;
       r.kind = op::end;

@@ -2,6 +2,7 @@
 // worker pool, and the help-while-waiting loops.
 #include "runtime/parallel.hpp"
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -116,6 +117,20 @@ thread_local worker* tls_worker = nullptr;
 
 }  // namespace
 
+bool runs_before(const position& t, const position& at,
+                 std::uint32_t minted) {
+  const std::uint32_t common = std::min(t.depth(), at.depth());
+  for (std::uint32_t l = 0; l < common; ++l) {
+    if (t.at(l) != at.at(l)) return t.at(l) < at.at(l);
+  }
+  // t descends from the waiting instance: it begins before the point iff
+  // its branch is one of the first `minted` children.
+  if (t.depth() > at.depth()) return t.at(at.depth()) < minted;
+  // t is the waiting instance or an ancestor: only the queued face of a
+  // future whose body is already running, which executes as a no-op.
+  return true;
+}
+
 struct scheduler::impl {
   // `owner` must be wired up before the pool threads spawn: pool_loop
   // dereferences it for every executed task, and a post-construction
@@ -156,6 +171,39 @@ struct scheduler::impl {
     t->execute(owner);
     self.current_frame = saved;
     delete t;
+  }
+
+  // The helping loop of every wait: runs tasks (own deque, then steals)
+  // until done(), but only those that begin serially before the waiting
+  // point (see parallel.hpp). The others are set aside, out of reach of
+  // this wait and of thieves, and pushed back in their order at the end;
+  // after one stolen task had to be set aside the wait stops stealing, so
+  // it never hoards more than one.
+  template <typename Done>
+  void help(scheduler& owner, worker& self, prng& rng, const Done& done) {
+    FRD_CHECK_MSG(self.current_frame != nullptr, "wait outside run()");
+    const frame& at = *self.current_frame;
+    std::vector<task*> set_aside;
+    bool may_steal = true;
+    unsigned idle = 0;
+    while (!done()) {
+      task* t = self.deque.pop();
+      const bool stolen = t == nullptr && may_steal;
+      if (stolen) t = steal_once(self, rng);
+      if (t == nullptr) {
+        if (++idle > 64) std::this_thread::yield();
+        continue;
+      }
+      idle = 0;
+      if (runs_before(t->pos, *at.pos, at.minted)) {
+        execute(owner, self, t);
+      } else {
+        set_aside.push_back(t);
+        if (stolen) may_steal = false;
+      }
+    }
+    for (auto it = set_aside.rbegin(); it != set_aside.rend(); ++it)
+      self.deque.push(*it);
   }
 
   void pool_loop(worker& self) {
@@ -218,42 +266,24 @@ frame* scheduler::swap_current_frame(frame* fr) {
 void scheduler::wait_frame(frame& fr) {
   worker& self = *tls_worker;
   prng rng(0xabcdef01u + self.index);
-  unsigned idle = 0;
-  while (fr.pending.load(std::memory_order_acquire) != 0) {
-    if (task* t = impl_->acquire(self, rng)) {
-      impl_->execute(*this, self, t);
-      idle = 0;
-    } else if (++idle > 64) {
-      std::this_thread::yield();
-    }
-  }
+  impl_->help(*this, self, rng, [&] {
+    return fr.pending.load(std::memory_order_acquire) == 0;
+  });
 }
 
 void scheduler::wait_future(future_state_base& st) {
-  // Leapfrog: if nobody has started the awaited body, run it right here.
-  // Otherwise yield until the claimer finishes — a blocked get must never
-  // claim unrelated tasks, or it buries futures other workers are waiting
-  // on under this spin (two workers burying each other's wait targets is
-  // the classic child-stealing-with-futures deadlock).
-  st.run_if_pending(*this);
-  unsigned idle = 0;
-  while (!st.done()) {
-    if (++idle > 64) std::this_thread::yield();
-  }
+  // Leapfrog: if nobody has started the awaited body, run it right here —
+  // it begins serially before the get, so it may sit on top of it.
+  if (st.run_if_pending(*this)) return;
+  worker& self = *tls_worker;
+  prng rng(0x51ed27f3u + self.index);
+  impl_->help(*this, self, rng, [&] { return st.done(); });
 }
 
 void scheduler::help_until(const std::function<bool()>& done) {
   worker& self = *tls_worker;
   prng rng(0x7e1bda7au + self.index);
-  unsigned idle = 0;
-  while (!done()) {
-    if (task* t = impl_->acquire(self, rng)) {
-      impl_->execute(*this, self, t);
-      idle = 0;
-    } else if (++idle > 64) {
-      std::this_thread::yield();
-    }
-  }
+  impl_->help(*this, self, rng, done);
 }
 
 unsigned scheduler::current_worker_index() {

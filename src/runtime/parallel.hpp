@@ -7,40 +7,97 @@
 // Chase-Lev deque and the parent continues; `sync` helps (pops own deque,
 // then steals) until every child of the frame has completed. Futures are
 // eagerly *created* tasks; `get` leapfrogs — claims the body and runs it
-// inline if no one has started it, and otherwise yields until the claimer
-// finishes. A blocked get must NOT claim unrelated tasks: doing so buries
-// futures other workers wait on under this worker's spin, and two workers
-// burying each other's wait targets is a deadlock (observed on wavefront
-// grids at >= 3 workers). Leapfrogging only ever stacks a task's own
-// dependency above it, so for the forward-pointing future DAGs the paper's
-// detectors accept (§2) the blocked-wait chains cannot cycle.
+// inline if no one has started it — and otherwise helps until the claimer
+// finishes.
+//
+// Helping runs a task on top of a suspended one, so the suspended one
+// cannot resume before the helped task returns. If the helped task waits
+// for something the suspended one has yet to do (a get of a future whose
+// body is suspended beneath it, on this thread or behind a chain of other
+// threads' waits), the workers deadlock. Every wait therefore helps only
+// with tasks that begin serially (in the depth-first elision) before the
+// waiting point. For the forward-pointing programs the paper's detectors
+// accept (§2), a wait at point P depends only on work serially before P,
+// so a task stacked on a waiting one never depends on anything beneath it
+// and the serially-first waiter can always progress. Tasks carry their
+// serial position (see `position`) for that test; a wait sets aside the
+// tasks it may not run and pushes them back when it ends.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "support/check.hpp"
 
 namespace frd::rt {
 namespace par {
 
+// Serial position of a function instance: the child indices along its
+// path from the program's root (the k-th spawned/created child of the
+// k'-th child of ...). Compared lexicographically, positions order
+// instances by where they begin in the depth-first serial elision. Paths
+// are short (the spawn/create nesting depth), so they live inline and are
+// copied into each child rather than shared.
+class position {
+ public:
+  position() = default;  // a program's root
+  position child(std::uint32_t index) const {
+    position c = *this;
+    c.push(index);
+    return c;
+  }
+  std::uint32_t depth() const { return depth_; }
+  std::uint32_t at(std::uint32_t level) const {
+    return level < kInline ? inline_[level] : deep_[level - kInline];
+  }
+
+ private:
+  static constexpr std::uint32_t kInline = 12;
+  void push(std::uint32_t index) {
+    if (depth_ < kInline) {
+      inline_[depth_] = index;
+    } else {
+      deep_.push_back(index);
+    }
+    ++depth_;
+  }
+  std::uint32_t depth_ = 0;
+  std::uint32_t inline_[kInline] = {};
+  std::vector<std::uint32_t> deep_;  // levels past kInline
+};
+
+// True when the instance at `t` begins serially before the point in the
+// instance at `at` after its first `minted` children.
+bool runs_before(const position& t, const position& at, std::uint32_t minted);
+
 // The dynamic scope of one function instance: counts direct spawned
-// children that have not completed yet (sync waits on this).
+// children that have not completed yet (sync waits on this) and mints the
+// serial positions of its children. `pos` is owned by whatever runs the
+// instance (its task, its future's shared state, or run()).
 struct frame {
+  explicit frame(const position& p) : pos(&p) {}
   std::atomic<std::uint64_t> pending{0};
+  const position* pos;
+  std::uint32_t minted = 0;
+
+  position mint_child() { return pos->child(minted++); }
 };
 
 class scheduler;
 
 struct task {
+  explicit task(position p) : pos(std::move(p)) {}
   virtual ~task() = default;
   // Runs the task body. Called exactly once by whoever dequeued/claimed it;
   // the caller deletes the task afterwards.
   virtual void execute(scheduler& sched) = 0;
+  const position pos;  // of the instance it runs
 };
 
 struct future_state_base {
@@ -50,6 +107,7 @@ struct future_state_base {
   // in the shared state (not the queued task) lets a blocked get leapfrog:
   // claim and run the awaited body inline. The runner must mark_done().
   std::function<void(scheduler&)> run_body;
+  position pos;  // of the body; set with run_body
 
   // True if the caller won the right to run the body.
   bool claim() {
@@ -91,10 +149,13 @@ class scheduler {
 
   void push_task(task* t);              // current worker's deque
   void wait_frame(frame& fr);           // help until fr.pending == 0
-  void wait_future(future_state_base& st);  // help until st.done()
-  // Generic helping loop: executes ready tasks (own deque, then steals)
-  // until `done()` returns true. The online engine's quiesce and the fuzz
-  // executor's wait-for-creation are built on this.
+  // Leapfrogs into the body if nobody has started it, else helps until
+  // st.done().
+  void wait_future(future_state_base& st);
+  // Generic helping loop: executes ready tasks that begin serially before
+  // the current point (own deque, then steals) until `done()` returns true.
+  // The online engine's quiesce and the fuzz executor's wait-for-creation
+  // are built on this.
   void help_until(const std::function<bool()>& done);
 
   frame* current_frame() const;
@@ -110,11 +171,11 @@ class scheduler {
   std::unique_ptr<impl> impl_;
 };
 
-// Runs `fn` as a Cilk function instance: fresh frame for its spawns, and an
-// implicit sync before it returns.
+// Runs `fn` as the Cilk function instance at `pos`: fresh frame for its
+// spawns, and an implicit sync before it returns.
 template <typename F>
-void run_as_function(scheduler& s, F& fn) {
-  frame fr;
+void run_as_function(scheduler& s, const position& pos, F& fn) {
+  frame fr(pos);
   frame* prev = s.swap_current_frame(&fr);
   fn();
   if (fr.pending.load(std::memory_order_acquire) != 0) s.wait_frame(fr);
@@ -124,9 +185,12 @@ void run_as_function(scheduler& s, F& fn) {
 template <typename F>
 struct child_task final : task {
   child_task(frame* parent, F&& fn, std::atomic<std::uint64_t>* live = nullptr)
-      : parent_(parent), fn_(std::move(fn)), live_(live) {}
+      : task(parent->mint_child()),
+        parent_(parent),
+        fn_(std::move(fn)),
+        live_(live) {}
   void execute(scheduler& sched) override {
-    run_as_function(sched, fn_);
+    run_as_function(sched, pos, fn_);
     parent_->pending.fetch_sub(1, std::memory_order_release);
     if (live_ != nullptr) live_->fetch_sub(1, std::memory_order_release);
   }
@@ -141,7 +205,7 @@ struct child_task final : task {
 struct future_task final : task {
   explicit future_task(std::shared_ptr<future_state_base> st,
                        std::atomic<std::uint64_t>* live = nullptr)
-      : state_(std::move(st)), live_(live) {}
+      : task(st->pos), state_(std::move(st)), live_(live) {}
   void execute(scheduler& sched) override {
     state_->run_if_pending(sched);
     if (live_ != nullptr) live_->fetch_sub(1, std::memory_order_release);
@@ -215,7 +279,8 @@ class parallel_runtime {
   template <typename F>
   void run(F&& root) {
     sched_.enter_host();
-    par::run_as_function(sched_, root);
+    const par::position main_pos;
+    par::run_as_function(sched_, main_pos, root);
     sched_.leave_host();
   }
 
@@ -238,7 +303,10 @@ class parallel_runtime {
   template <typename F>
   auto create_future(F&& f) -> pfuture<std::invoke_result_t<F&>> {
     using R = std::invoke_result_t<F&>;
+    par::frame* fr = sched_.current_frame();
+    FRD_CHECK_MSG(fr != nullptr, "create_future outside run()");
     auto state = std::make_shared<par::future_state<R>>();
+    state->pos = fr->mint_child();
     // fn rides in a shared_ptr because std::function requires a copyable
     // callable; the raw back-pointer into the state is safe — the closure
     // is owned by that same state.
@@ -252,7 +320,7 @@ class parallel_runtime {
           st->value.emplace((*fn)());
         }
       };
-      par::run_as_function(sched, body);
+      par::run_as_function(sched, st->pos, body);
       st->mark_done();
     };
     live_.fetch_add(1, std::memory_order_relaxed);

@@ -23,7 +23,7 @@ namespace frd::serve {
 
 struct submit_options {
   std::string backend = "multibags+";
-  std::string store = "hashed-page";
+  std::string store = "hashed-page";  // the one shadow store
   std::uint64_t budget = 0;  // bytes; 0 = accept the server default
 };
 

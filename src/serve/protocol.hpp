@@ -106,6 +106,7 @@ struct hello_ok_msg {
 struct stream_open_msg {
   std::uint64_t stream_id = 0;  // nonzero, client-chosen
   std::string backend;
+  // Shadow store name; the server accepts only "hashed-page".
   std::string store;
   // Per-stream budget request in bytes; 0 = server default. The server
   // grants min(request, default) — a client may lower its budget, not raise.

@@ -228,7 +228,6 @@ void server::send_error(connection& c, std::uint64_t stream_id,
 void server::connection_loop(conn_ptr conn) {
   struct open_stream {
     std::string backend;
-    std::string store;
     std::uint64_t budget = 0;
     std::vector<std::uint8_t> bytes;
   };
@@ -291,14 +290,13 @@ void server::connection_loop(conn_ptr conn) {
                         "unknown backend '" + m.backend + "'");
             break;
           }
-          if (shadow::store_registry::instance().find(m.store) == nullptr) {
+          if (m.store != shadow::kDefaultStore) {
             fail_stream(m.stream_id, error_code::backend_error,
-                        "unknown shadow store '" + m.store + "'");
+                        shadow::unknown_store(m.store).what());
             break;
           }
           open_stream st;
           st.backend = m.backend;
-          st.store = m.store;
           // min(request, server default): a client lowers its grant, never
           // raises it past the operator's limit.
           if (opt_.default_budget == 0) {
@@ -354,7 +352,6 @@ void server::connection_loop(conn_ptr conn) {
           j.conn = conn;
           j.stream_id = id;
           j.backend = std::move(it->second.backend);
-          j.store = std::move(it->second.store);
           j.budget = it->second.budget;
           j.bytes = std::move(it->second.bytes);
           open.erase(it);
@@ -409,10 +406,9 @@ void server::connection_loop(conn_ptr conn) {
 
 void server::worker_loop() {
   // The worker's recycled session: reused via reset() while consecutive
-  // streams agree on (backend, store, granule), rebuilt otherwise.
+  // streams agree on (backend, granule), rebuilt otherwise.
   struct cached_session {
     std::string backend;
-    std::string store;
     std::uint32_t granule = 0;
     std::unique_ptr<session> s;
   } cache;
@@ -437,12 +433,11 @@ void server::worker_loop() {
       const std::uint32_t granule = src->header().granule;
 
       if (cache.s == nullptr || cache.backend != j.backend ||
-          cache.store != j.store || cache.granule != granule) {
+          cache.granule != granule) {
         cache.s = nullptr;  // release the old one before building anew
         cache.s = std::make_unique<session>(session::options{
             .backend = j.backend,
             .granule = granule,
-            .shadow_store = j.store,
             .replay_batch = opt_.replay_batch,
             // Daemon-wide constants, so they need no cache-key entry: every
             // pooled session is built with the same sampling configuration.
@@ -450,7 +445,6 @@ void server::worker_loop() {
             .sample_seed = opt_.sample_seed,
             .shadow_history_depth = opt_.history_depth});
         cache.backend = j.backend;
-        cache.store = j.store;
         cache.granule = granule;
       }
       session& s = *cache.s;

@@ -12,7 +12,7 @@
 //                       frames in encounter order as the detector finds
 //                       them, then a stream_done summary. Workers RECYCLE
 //                       their session via session::reset() when the next
-//                       stream asks for the same (backend, store, granule) —
+//                       stream asks for the same (backend, granule) —
 //                       the pool never re-resolves registries or reallocates
 //                       report/query buffers on the hot path.
 //
@@ -20,7 +20,7 @@
 // a budget overrun, or a mid-stream disconnect tears down exactly ONE stream
 // (error frame, tombstoned id) or one connection — never the daemon, and
 // never a sibling stream's report. Reports are byte-identical to an offline
-// `frd-trace run` of the same trace under the same backend/store: replay
+// `frd-trace run` of the same trace under the same backend: replay
 // order, race encounter order, and the golden-report summary all come from
 // the same session machinery.
 //
@@ -120,7 +120,6 @@ class server {
     conn_ptr conn;
     std::uint64_t stream_id = 0;
     std::string backend;
-    std::string store;
     std::uint64_t budget = 0;  // bytes; 0 = unlimited
     std::vector<std::uint8_t> bytes;
   };

@@ -8,9 +8,8 @@
 //     parallel to a purged reader is also parallel to the new writer, so no
 //     race is lost — §3).
 //
-// This is the record type the hashed-page store keeps in its pages, and
-// where its §3 read/write steps run (hashed_page_store.hpp); the compact
-// store lays the same state out SoA instead (compact_store.hpp).
+// This is the record type the shadow store keeps in its pages; the §3
+// read/write steps over it run in store.hpp.
 #pragma once
 
 #include <cstddef>
@@ -68,15 +67,23 @@ class granule_record {
     return (*overflow_)[n_readers_ - kInline - 1];
   }
 
-  void append_reader(strand_id s) {
+  // Appends a reader and returns the heap bytes this call newly reserved:
+  // nonzero only when the overflow vector is created or grows, so the store
+  // can charge reader overflow to its memory footprint.
+  std::size_t append_reader(strand_id s) {
     if (n_readers_ < kInline) {
       inline_[n_readers_++] = s;
-      return;
+      return 0;
     }
-    if (overflow_ == nullptr)
+    std::size_t grown = 0;
+    if (overflow_ == nullptr) {
       overflow_ = std::make_unique<std::vector<strand_id>>();
+      grown = sizeof(std::vector<strand_id>);
+    }
+    const std::size_t capacity = overflow_->capacity();
     overflow_->push_back(s);
     ++n_readers_;
+    return grown + (overflow_->capacity() - capacity) * sizeof(strand_id);
   }
 
   void clear_readers() {
@@ -85,7 +92,7 @@ class granule_record {
   }
 
   // Drops the OLDEST reader, keeping append order — the bounded-history
-  // stores call this right before an append that would exceed the depth
+  // store calls this right before an append that would exceed the depth
   // cap, so the list always holds the most recent `depth` readers. The
   // front-shift is O(list length), which bounded mode keeps at the (small)
   // configured depth.

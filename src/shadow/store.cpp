@@ -1,16 +1,27 @@
 #include "shadow/store.hpp"
 
-#include <algorithm>
-
-#include "shadow/compact_store.hpp"
-#include "shadow/hashed_page_store.hpp"
-#include "support/check.hpp"
+#include <string>
 
 namespace frd::shadow {
 
+namespace {
+
+// Runs validate() ahead of the member initializers that depend on cfg.
+const store_config& validated(const store_config& cfg) {
+  validate(cfg);
+  return cfg;
+}
+
+}  // namespace
+
+store_error unknown_store(std::string_view name) {
+  return store_error("unknown shadow store '" + std::string(name) +
+                     "'; the one store is " + std::string(kDefaultStore));
+}
+
 void validate(const store_config& cfg) {
   if (cfg.page_bits < 4 || cfg.page_bits > 24) {
-    throw store_error("shadow_page_bits must be in [4, 24], got " +
+    throw store_error("shadow page_bits must be in [4, 24], got " +
                       std::to_string(cfg.page_bits));
   }
   if (cfg.granule_shift > 12) {
@@ -24,64 +35,38 @@ void validate(const store_config& cfg) {
   }
 }
 
-store_registry& store_registry::instance() {
-  static store_registry reg;
-  return reg;
+store::store(const store_config& cfg)
+    : granule_shift_(validated(cfg).granule_shift),
+      history_depth_(cfg.history_depth),
+      page_bits_(cfg.page_bits),
+      page_mask_((std::uintptr_t{1} << cfg.page_bits) - 1) {}
+
+store::page& store::materialize(std::uintptr_t page_id) {
+  auto [it, inserted] = pages_.try_emplace(page_id);
+  if (inserted)
+    it->second = std::make_unique<page>(std::size_t{1} << page_bits_);
+  cached_id_ = page_id;
+  cached_page_ = it->second.get();
+  return *cached_page_;
 }
 
-store_registry::store_registry() {
-  add({.name = std::string(kDefaultStore),
-       .description = "two-level hashed page table + hot-page cache "
-                      "(the paper's layout; the baseline)",
-       .make = [](const store_config& cfg) -> std::unique_ptr<store> {
-         return std::make_unique<hashed_page_store>(cfg);
-       }});
-  add({.name = "compact",
-       .description = "structure-of-arrays pages with arena-chained reader "
-                      "overflow (no per-record heap storage)",
-       .make = [](const store_config& cfg) -> std::unique_ptr<store> {
-         return std::make_unique<compact_store>(cfg);
-       }});
-}
-
-void store_registry::add(store_info info) {
-  FRD_CHECK_MSG(!info.name.empty() && info.make != nullptr,
-                "store registration needs a name and a factory");
-  FRD_CHECK_MSG(find(info.name) == nullptr, "store name already registered");
-  infos_.push_back(std::move(info));
-}
-
-const store_info* store_registry::find(std::string_view name) const {
-  for (const store_info& i : infos_)
-    if (i.name == name) return &i;
-  return nullptr;
-}
-
-const store_info& store_registry::at(std::string_view name) const {
-  if (const store_info* i = find(name)) return *i;
-  std::string msg = "unknown shadow store '";
-  msg += name;
-  msg += "'; registered stores:";
-  for (const std::string& n : names()) {
-    msg += ' ';
-    msg += n;
-  }
-  throw store_error(msg);
-}
-
-std::unique_ptr<store> store_registry::create(std::string_view name,
-                                              const store_config& cfg) const {
-  const store_info& info = at(name);
-  validate(cfg);
-  return info.make(cfg);
-}
-
-std::vector<std::string> store_registry::names() const {
-  std::vector<std::string> out;
-  out.reserve(infos_.size());
-  for (const store_info& i : infos_) out.push_back(i.name);
-  std::sort(out.begin(), out.end());
+store::granule_state store::peek(std::uintptr_t addr) const {
+  granule_state out;
+  const std::uintptr_t g = granule_of(addr);
+  const auto it = pages_.find(g >> page_bits_);
+  if (it == pages_.end()) return out;
+  const granule_record& rec = it->second->records[g & page_mask_];
+  out.touched = true;
+  out.writer = rec.writer;
+  out.readers.reserve(rec.reader_count());
+  rec.for_each_reader([&](strand_id r) { out.readers.push_back(r); });
   return out;
+}
+
+std::size_t store::bytes_reserved() const {
+  return pages_.size() * (std::size_t{1} << page_bits_) *
+             sizeof(granule_record) +
+         overflow_bytes_;
 }
 
 }  // namespace frd::shadow

@@ -1,46 +1,43 @@
-// shadow::store — the pluggable shadow-memory layer (paper §3, §6).
+// shadow::store — the shadow memory of the §3 access protocol (paper §3, §6).
 //
-// The detector spends most of a full-detection run in the per-granule shadow
-// lookup, so the layout of that state is a scaling lever of its own,
-// independent of the reachability backend. This interface pins down the §3
-// access protocol as two store operations — one virtual call per memory
-// access — and lets implementations choose their layout:
+// For every granule the detector keeps a last-writer and a reader list
+// (granule_record.hpp). The store lays them out as the paper's two-level
+// direct-mapped scheme: the high bits of addr>>granule_shift select a
+// second-level page, the low bits index into it. The paper's artifact used a
+// flat top-level table; with 47-bit user address spaces pages are keyed by a
+// hash map instead, with a one-entry hot-page cache that preserves the
+// two-level lookup cost on the fast path (documented substitution,
+// DESIGN.md §2).
 //
-//   hashed-page   the paper's two-level direct-mapped scheme with pages
-//                 keyed by a hash map and a one-entry hot-page cache
-//                 (the baseline; access_history's old layout).
-//   compact       structure-of-arrays pages (hot writer/count planes split
-//                 from reader planes) with unique_ptr-free overflow chains
-//                 in a support arena.
-//
-// Stores register by name in a string-keyed store_registry mirroring the
-// backend_registry; frd::session resolves session::options::shadow_store at
-// construction. Every store must be observationally identical: the corpus
-// conformance suite replays every (entry × backend × store) triple against
-// the same goldens.
+// The §3 protocol is two store operations, read_step and write_step, which
+// the detector calls directly: there is one store, a concrete class.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "shadow/granule_record.hpp"
-#include "support/function_ref.hpp"
 
 namespace frd::shadow {
 
-// Raised on unknown store names and out-of-range configurations. The message
-// lists the registered names (like detect::backend_error does for backends).
+// Raised on out-of-range configurations and on store names other than
+// kDefaultStore.
 class store_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+// The store's name: the one value session::options::shadow_store and the
+// serve protocol's store field accept.
+inline constexpr std::string_view kDefaultStore = "hashed-page";
+
+// The error for any other store name; its message names the one store.
+store_error unknown_store(std::string_view name);
 
 // history_depth sentinel: keep the full §3 reader list (the default).
 inline constexpr std::size_t kUnboundedHistory = static_cast<std::size_t>(-1);
@@ -63,92 +60,86 @@ void validate(const store_config& cfg);
 
 class store {
  public:
-  explicit store(const store_config& cfg)
-      : granule_shift_(cfg.granule_shift),
-        history_depth_(cfg.history_depth) {}
-  virtual ~store() = default;
+  // Validates cfg (store_error) and starts with no pages.
+  explicit store(const store_config& cfg);
   store(const store&) = delete;
   store& operator=(const store&) = delete;
-
-  std::uintptr_t granule_of(std::uintptr_t addr) const {
-    return addr >> granule_shift_;
-  }
-  unsigned granule_shift() const { return granule_shift_; }
-  // Retained readers per granule (kUnboundedHistory = the full §3 list).
-  std::size_t history_depth() const { return history_depth_; }
-
-  virtual std::string_view name() const = 0;
 
   // The §3 read step on the granule containing addr: returns the granule's
   // last writer *before* this read (kNoStrand when none) for the caller's
   // race check, and appends `reader` to the reader list unless the serial
   // dedupe applies (the granule's writer or tail reader is already
-  // `reader`). Allocates the granule's page on first touch.
-  virtual strand_id read_step(std::uintptr_t addr, strand_id reader) = 0;
+  // `reader`). Bounded history drops the oldest reader before an append
+  // that would exceed the depth; the unbounded sentinel never trips the
+  // compare. Allocates the granule's page on first touch.
+  strand_id read_step(std::uintptr_t addr, strand_id reader) {
+    granule_record& rec = record_for(addr);
+    const strand_id prior = rec.writer;
+    if (rec.writer != reader && rec.last_reader() != reader) {
+      if (rec.reader_count() >= history_depth_) rec.drop_oldest_reader();
+      overflow_bytes_ += rec.append_reader(reader);
+    }
+    return prior;
+  }
 
-  // The §3 write step on the granule containing addr: invokes `prior` once
-  // per recorded conflicting access — first the previous writer (is_write =
-  // true, skipped when there is none), then every recorded reader (is_write
-  // = false) in append order — then purges the reader list and installs
-  // `writer` as last-writer. The callback must not re-enter the store.
-  virtual void write_step(
-      std::uintptr_t addr, strand_id writer,
-      function_ref<void(strand_id prior, bool is_write)> prior) = 0;
+  // The §3 write step on the granule containing addr: invokes
+  // prior(strand_id, bool is_write) once per recorded conflicting access —
+  // first the previous writer (is_write = true, skipped when there is
+  // none), then every recorded reader (is_write = false) in append order —
+  // then purges the reader list and installs `writer` as last-writer. The
+  // callback must not re-enter the store.
+  template <typename Prior>
+  void write_step(std::uintptr_t addr, strand_id writer, Prior&& prior) {
+    granule_record& rec = record_for(addr);
+    if (rec.writer != rt::kNoStrand) prior(rec.writer, /*is_write=*/true);
+    rec.for_each_reader([&](strand_id r) { prior(r, /*is_write=*/false); });
+    rec.clear_readers();
+    rec.writer = writer;
+  }
 
-  // Layout-independent snapshot of one granule for tests and diagnostics;
-  // never allocates. touched == false means the granule's page was never
-  // materialized (writer/readers are then the pristine defaults).
+  // Snapshot of one granule for tests and diagnostics; never allocates.
+  // touched == false means the granule's page was never materialized
+  // (writer/readers are then the pristine defaults).
   struct granule_state {
     bool touched = false;
     strand_id writer = rt::kNoStrand;
     std::vector<strand_id> readers;  // append order
   };
-  virtual granule_state peek(std::uintptr_t addr) const = 0;
+  granule_state peek(std::uintptr_t addr) const;
 
-  virtual std::size_t page_count() const = 0;
-  virtual std::size_t bytes_reserved() const = 0;
+  std::size_t page_count() const { return pages_.size(); }
+  // Page storage plus the heap the reader lists overflowed into. Overflow
+  // capacity is retained across purges, so the figure only grows.
+  std::size_t bytes_reserved() const;
 
  private:
+  struct page {
+    explicit page(std::size_t n) : records(n) {}
+    std::vector<granule_record> records;
+  };
+
+  std::uintptr_t granule_of(std::uintptr_t addr) const {
+    return addr >> granule_shift_;
+  }
+  granule_record& record_for(std::uintptr_t addr) {
+    const std::uintptr_t g = granule_of(addr);
+    return page_for(g >> page_bits_).records[g & page_mask_];
+  }
+  page& page_for(std::uintptr_t page_id) {
+    if (page_id == cached_id_) return *cached_page_;
+    return materialize(page_id);
+  }
+  page& materialize(std::uintptr_t page_id);
+
   const unsigned granule_shift_;
   const std::size_t history_depth_;
-};
-
-// The baseline store every consumer defaults to.
-inline constexpr std::string_view kDefaultStore = "hashed-page";
-
-struct store_info {
-  std::string name;         // registry key, e.g. "compact"
-  std::string description;  // one-line layout summary for docs/CLIs
-  std::function<std::unique_ptr<store>(const store_config&)> make;
-};
-
-class store_registry {
- public:
-  // Process-wide registry, pre-populated with the two in-tree stores.
-  static store_registry& instance();
-
-  // Registers a store; the name must be new.
-  void add(store_info info);
-
-  // Lookup by name; null when unknown.
-  const store_info* find(std::string_view name) const;
-
-  // Lookup by name; throws store_error listing every registered name.
-  const store_info& at(std::string_view name) const;
-
-  // Validates cfg and constructs a fresh store (throws like at()).
-  std::unique_ptr<store> create(std::string_view name,
-                                const store_config& cfg) const;
-
-  // All registered names, sorted.
-  std::vector<std::string> names() const;
-
- private:
-  store_registry();  // registers the builtins
-
-  // Deque for the same reason as backend_registry: find()/at() hand out
-  // long-lived pointers, so registration must never relocate entries.
-  std::deque<store_info> infos_;
+  const unsigned page_bits_;
+  const std::uintptr_t page_mask_;
+  // Hot-page cache: benchmark kernels touch long runs within one page.
+  std::uintptr_t cached_id_ = static_cast<std::uintptr_t>(-1);
+  page* cached_page_ = nullptr;
+  std::unordered_map<std::uintptr_t, std::unique_ptr<page>> pages_;
+  std::size_t overflow_bytes_ = 0;  // reader-list heap, see bytes_reserved()
 };
 
 }  // namespace frd::shadow

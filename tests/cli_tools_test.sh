@@ -74,28 +74,16 @@ head -c 16 "$TMP/demo.frdt" >"$TMP/cut.frdt"
 expect_rc 1 "frd-trace run rejects a truncated trace" \
   "$FRD_TRACE" run "$TMP/cut.frdt"
 
-# Shadow-store selection: every registered store replays to the same report;
-# an unknown store fails with the registered names.
-expect_rc 1 "frd-trace run rejects an unknown --store" \
-  "$FRD_TRACE" run "$TMP/demo.frdt" --store nope
-grep -q 'hashed-page' "$TMP/err" ||
-  fail "unknown-store error must list the registered stores"
-expect_rc 1 "frd-trace run rejects the removed sharded store" \
-  "$FRD_TRACE" run "$TMP/demo.frdt" --store sharded
-grep -q 'compact hashed-page' "$TMP/err" ||
-  fail "removed-store error must list the registered stores"
+# There is one shadow store, so no CLI selects one: --store is an unknown
+# flag now, like the removed --workers.
+expect_rc 1 "frd-trace run rejects --store as an unknown flag" \
+  "$FRD_TRACE" run "$TMP/demo.frdt" --store compact
+grep -q 'unknown flag' "$TMP/err" ||
+  fail "frd-trace run --store must fail as an unknown flag"
 expect_rc 1 "frd-trace run rejects --workers as an unknown flag" \
   "$FRD_TRACE" run "$TMP/demo.frdt" --workers 4
 expect_rc 2 "frd-trace run rejects --batch 0" \
   "$FRD_TRACE" run "$TMP/demo.frdt" --batch 0
-for store in compact; do
-  "$FRD_TRACE" run "$TMP/demo.frdt" --store "$store" >"$TMP/run_$store.txt" 2>&1 ||
-    fail "replaying the demo trace on the $store store"
-  if ! diff <(grep '^races:' "$TMP/run_bin.txt") \
-            <(grep '^races:' "$TMP/run_$store.txt") >/dev/null; then
-    fail "store '$store' disagrees with the default store on races"
-  fi
-done
 
 # ----------------------------------------------- .frdtz container surface --
 
@@ -263,12 +251,12 @@ expect_rc 0 "frd-corpus list prints the manifest" \
   "$FRD_CORPUS" list --dir "$CORPUS_DIR"
 expect_rc 1 "frd-corpus verify rejects an unknown --backend" \
   "$FRD_CORPUS" verify --dir "$CORPUS_DIR" --backend nope
-expect_rc 1 "frd-corpus verify rejects an unknown --store" \
-  "$FRD_CORPUS" verify --dir "$CORPUS_DIR" --store nope
+expect_rc 1 "frd-corpus verify rejects --store as an unknown flag" \
+  "$FRD_CORPUS" verify --dir "$CORPUS_DIR" --store compact
+grep -q 'unknown flag' "$TMP/err" ||
+  fail "frd-corpus verify --store must fail as an unknown flag"
 expect_rc 1 "frd-corpus verify fails when --backend matches zero checks" \
   "$FRD_CORPUS" verify --dir "$CORPUS_DIR" --backend sp-bags
-expect_rc 0 "frd-corpus verify passes restricted to one store" \
-  "$FRD_CORPUS" verify --dir "$CORPUS_DIR" --store compact
 expect_rc 1 "frd-corpus generate rejects an unknown --only" \
   "$FRD_CORPUS" generate --dir "$TMP" --only nope
 

@@ -22,7 +22,6 @@
 #include "corpus/manifest.hpp"
 #include "corpus/programs.hpp"
 #include "corpus/runner.hpp"
-#include "shadow/store.hpp"
 #include "trace/codec.hpp"
 #include "trace/event.hpp"
 
@@ -82,26 +81,20 @@ TEST(CorpusInventory, EveryEntryNamesARegisteredProgram) {
 
 // ---------------------------------------------------------- conformance --
 
-// One test per (entry, backend, shadow store) triple via
-// value-parameterization over the manifest × the store registry: ctest
-// output localizes a divergence without re-running anything, and every
-// store layout is held to the same byte-identical goldens.
+// One test per (entry, backend) pair via value-parameterization over the
+// manifest: ctest output localizes a divergence without re-running
+// anything.
 struct conformance_case {
   std::string entry;
   std::string backend;
-  std::string store;
 };
 
 std::vector<conformance_case> all_cases() {
   std::vector<conformance_case> out;
   try {
-    const std::vector<std::string> stores =
-        shadow::store_registry::instance().names();
     for (const corpus_entry& e : corpus_manifest().entries) {
       for (const std::string& b : eligible_backends(e.futures)) {
-        for (const std::string& s : stores) {
-          out.push_back({e.name, b, s});
-        }
+        out.push_back({e.name, b});
       }
     }
   } catch (const std::exception&) {
@@ -125,16 +118,15 @@ TEST_P(CorpusConformance, ReplayMatchesGolden) {
       << "manifest and trace header disagree about the granule";
 
   const std::vector<std::string> details =
-      check_backend(tape, golden, c.backend, c.store);
+      check_backend(tape, golden, c.backend);
   for (const std::string& d : details) {
-    ADD_FAILURE() << "backend '" << c.backend << "' on store '" << c.store
-                  << "' diverged on corpus entry '" << c.entry << "': " << d;
+    ADD_FAILURE() << "backend '" << c.backend << "' diverged on corpus entry '"
+                  << c.entry << "': " << d;
   }
 }
 
 std::string case_name(const ::testing::TestParamInfo<conformance_case>& info) {
-  std::string s =
-      info.param.entry + "_" + info.param.backend + "_" + info.param.store;
+  std::string s = info.param.entry + "_" + info.param.backend;
   for (char& c : s) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -263,21 +255,10 @@ TEST(CorpusVerify, EngineAcceptsTheCheckedInCorpus) {
   const verify_result r = verify_corpus(corpus_manifest(), corpus_dir());
   for (const divergence& d : r.failures) {
     for (const std::string& line : d.details) {
-      ADD_FAILURE() << d.entry << " [" << d.backend << "/" << d.store
-                    << "]: " << line;
+      ADD_FAILURE() << d.entry << " [" << d.backend << "]: " << line;
     }
   }
   EXPECT_GT(r.checks, 0u);
-}
-
-TEST(CorpusVerify, UnknownStoreRestrictionIsAFailureNotAPass) {
-  const verify_result r =
-      verify_corpus(corpus_manifest(), corpus_dir(), {}, "no-such-store");
-  EXPECT_EQ(r.checks, 0u);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.failures.front().details.front().find("no-such-store"),
-            std::string::npos)
-      << "the failure must name the store that matched nothing";
 }
 
 TEST(CorpusVerify, ZeroEligibleChecksIsAFailureNotAPass) {

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <vector>
 
+#include "graph/fuzz.hpp"
 #include "runtime/parallel.hpp"
 
 namespace frd::rt {
@@ -169,6 +170,112 @@ TEST(ParallelRuntime, ActuallyRunsConcurrently) {
     rt.sync();
   });
   EXPECT_EQ(phase.load(), 2);
+}
+
+TEST(SerialPosition, RunsBeforeFollowsTheDepthFirstElision) {
+  // main ─┬─ a ─┬─ a0
+  //       │     └─ a1
+  //       └─ b ─── b0
+  using par::position;
+  using par::runs_before;
+  const position main_pos;
+  par::frame in_main(main_pos);
+  const position a = in_main.mint_child();
+  const position b = in_main.mint_child();
+  par::frame in_a(a);
+  const position a0 = in_a.mint_child();
+  const position a1 = in_a.mint_child();
+  par::frame in_b(b);
+  const position b0 = in_b.mint_child();
+
+  // A wait in a after both its children: they run before it, b after.
+  EXPECT_TRUE(runs_before(a0, a, 2));
+  EXPECT_TRUE(runs_before(a1, a, 2));
+  EXPECT_FALSE(runs_before(b, a, 2));
+  EXPECT_FALSE(runs_before(b0, a, 2));
+  // A wait in b: all of a's subtree is serially earlier.
+  EXPECT_TRUE(runs_before(a, b, 1));
+  EXPECT_TRUE(runs_before(a1, b, 1));
+  EXPECT_TRUE(runs_before(b0, b, 1));
+  // Leaves: a later sibling and a later cousin come after, an earlier
+  // sibling and an earlier cousin before.
+  EXPECT_FALSE(runs_before(a1, a0, 0));
+  EXPECT_FALSE(runs_before(b0, a1, 0));
+  EXPECT_TRUE(runs_before(a0, a1, 0));
+  EXPECT_TRUE(runs_before(a1, b0, 0));
+  // main after minting both children: everything it contains is earlier.
+  EXPECT_TRUE(runs_before(b0, main_pos, 2));
+  // An ancestor's queued face (a future whose body is already running
+  // below) executes as a no-op, so it may run anywhere.
+  EXPECT_TRUE(runs_before(a, a0, 0));
+}
+
+TEST(SerialPosition, PathsDeeperThanTheInlineLevelsCompareExactly) {
+  // A chain 40 levels deep: chain[d + 1] is child 1 of chain[d], with an
+  // earlier sibling (child 0) and a later one (child 2) at every level.
+  // Levels past the inline ones spill to the heap.
+  using par::position;
+  using par::runs_before;
+  std::vector<position> chain{position{}};
+  for (std::uint32_t d = 0; d < 40; ++d) chain.push_back(chain[d].child(1));
+  const position& leaf = chain.back();
+  ASSERT_EQ(leaf.depth(), 40u);
+  for (std::uint32_t d = 0; d < 40; ++d) {
+    EXPECT_TRUE(runs_before(chain[d].child(0), leaf, 0)) << "level " << d;
+    EXPECT_FALSE(runs_before(chain[d].child(2), leaf, 0)) << "level " << d;
+    EXPECT_TRUE(runs_before(leaf, chain[d], 2)) << "level " << d;
+    EXPECT_FALSE(runs_before(leaf, chain[d], 1)) << "level " << d;
+  }
+}
+
+// parallel_runtime::run joins spawned children only. The fuzz executor
+// expects run() to finish every created future too, as online::runtime's
+// does, so this adapter quiesces before the root returns.
+struct quiescing_runtime : parallel_runtime {
+  using parallel_runtime::parallel_runtime;
+  template <typename F>
+  void run(F&& root) {
+    parallel_runtime::run([&] {
+      root();
+      quiesce();
+    });
+  }
+};
+
+// Fuzz plans mix spawn trees, futures touched from other branches, and
+// gets that must first wait for their future's creation. Those are the
+// shapes under which helping a wait with an arbitrary task could stack a
+// get on top of the awaited future's own suspended body and deadlock every
+// worker. Each plan must complete with the serial elision's gets and
+// checksum at every width.
+TEST(ParallelRuntime, FuzzPlansCompleteAtEveryWidth) {
+  for (const bool structured : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      graph::fuzz_config cfg;
+      cfg.seed = seed;
+      cfg.structured = structured;
+      cfg.max_depth = 6;
+      cfg.max_actions_per_body = 12;
+      cfg.n_cells = 16;
+      cfg.max_futures = 64;
+      if (!structured) {
+        cfg.max_touches_per_future = 6;
+        cfg.w_get = 5;
+      }
+      const graph::fuzz_plan plan = graph::plan_fuzz(cfg);
+      for (const unsigned workers : {1u, 2u, 3u, 4u}) {
+        quiescing_runtime rt(workers);
+        const graph::fuzz_result res =
+            graph::run_fuzz_plan(rt, plan, [](std::uint32_t, bool) {});
+        EXPECT_EQ(res.gets, plan.expected_gets)
+            << "seed " << seed << " structured " << structured
+            << " workers " << workers;
+        EXPECT_EQ(res.checksum, plan.expected_checksum)
+            << "seed " << seed << " structured " << structured
+            << " workers " << workers;
+      }
+    }
+  }
 }
 
 }  // namespace

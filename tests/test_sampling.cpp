@@ -6,7 +6,7 @@
 //              session configured that way explicitly must be byte-identical
 //              to one that never heard of the knobs — same racy granules,
 //              same retained races element-wise, same query-plane counters —
-//              across the corpus, every eligible backend, and every store.
+//              across the corpus and every eligible backend.
 //   carve-out  sampled and bounded replays are seeded, reproducible, and
 //              only ever shrink the report: per-granule sampling admits or
 //              skips whole granules (subset of the full report), bounded
@@ -79,15 +79,10 @@ void expect_identical_reports(const session& a, const session& b,
 struct identity_case {
   std::string entry;
   std::string backend;
-  std::string store;
 };
 
-// Every (entry, backend) pair on the default store, plus the other stores on
-// the compact adversarial shapes (the serial conformance cube already proves
-// store-independence of the FULL detector; here the question is only whether
-// an explicitly-configured rate-1.0 session stays on the untouched path, so
-// million-event entries need not repeat per store). XL entries run under the
-// default backend only to keep the suite inside test time.
+// Every (entry, backend) pair. XL entries run under the default backend only
+// to keep the suite inside test time.
 std::vector<identity_case> identity_cases() {
   std::vector<identity_case> out;
   try {
@@ -97,10 +92,7 @@ std::vector<identity_case> identity_cases() {
       const bool xl = gold.events > 600000;
       for (const std::string& b : corpus::eligible_backends(e.futures)) {
         if (xl && b != "multibags+") continue;
-        out.push_back({e.name, b, std::string(shadow::kDefaultStore)});
-      }
-      if (e.kind == corpus::entry_kind::adversarial) {
-        out.push_back({e.name, "multibags+", "compact"});
+        out.push_back({e.name, b});
       }
     }
   } catch (const std::exception&) {
@@ -121,14 +113,12 @@ TEST_P(RateOneIdentity, ExplicitRateOneIsByteIdenticalToTheDefault) {
       corpus::load_golden(corpus_dir() + "/" + e->golden_file);
 
   session plain(session::options{.backend = c.backend,
-                                 .granule = tape.header().granule,
-                                 .shadow_store = c.store});
+                                 .granule = tape.header().granule});
   plain.replay(tape);
   tape.rewind();
   // The seed and policy must be dead knobs at rate 1.0.
   session cfg(session::options{.backend = c.backend,
                                .granule = tape.header().granule,
-                               .shadow_store = c.store,
                                .sample_rate = 1.0,
                                .sample_seed = 0xDEADBEEF,
                                .sampling = detect::sample_policy::epoch,
@@ -149,8 +139,7 @@ TEST_P(RateOneIdentity, ExplicitRateOneIsByteIdenticalToTheDefault) {
 }
 
 std::string identity_name(const ::testing::TestParamInfo<identity_case>& info) {
-  std::string s =
-      info.param.entry + "_" + info.param.backend + "_" + info.param.store;
+  std::string s = info.param.entry + "_" + info.param.backend;
   for (char& c : s) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -257,52 +246,41 @@ TEST(Sampling, EpochPolicyPartitionsTheStream) {
 
 // ---------------------------------------------------- bounded history -----
 
-// Store-level conformance: every registered store keeps exactly the
-// most-recent-N readers in append order once the depth is hit.
-TEST(BoundedHistory, EveryStoreKeepsTheMostRecentReaders) {
-  for (const std::string& name : {std::string("hashed-page"),
-                                  std::string("compact")}) {
-    auto store = shadow::store_registry::instance().create(
-        name, shadow::store_config{.page_bits = 8,
-                                   .granule_shift = 2,
-                                   .history_depth = 2});
-    for (unsigned r = 1; r <= 5; ++r) {
-      (void)store->read_step(0x1000, rt::strand_id{r});
-    }
-    const shadow::store::granule_state st = store->peek(0x1000);
-    ASSERT_TRUE(st.touched) << name;
-    ASSERT_EQ(st.readers.size(), 2u)
-        << name << " retained more readers than its depth";
-    EXPECT_EQ(st.readers[0], rt::strand_id{4}) << name;
-    EXPECT_EQ(st.readers[1], rt::strand_id{5}) << name;
+// Store-level: the store keeps exactly the most-recent-N readers in append
+// order once the depth is hit.
+TEST(BoundedHistory, TheStoreKeepsTheMostRecentReaders) {
+  shadow::store mem(shadow::store_config{.page_bits = 8,
+                                         .granule_shift = 2,
+                                         .history_depth = 2});
+  for (unsigned r = 1; r <= 5; ++r) {
+    (void)mem.read_step(0x1000, rt::strand_id{r});
   }
+  const shadow::store::granule_state st = mem.peek(0x1000);
+  ASSERT_TRUE(st.touched);
+  ASSERT_EQ(st.readers.size(), 2u) << "retained more readers than the depth";
+  EXPECT_EQ(st.readers[0], rt::strand_id{4});
+  EXPECT_EQ(st.readers[1], rt::strand_id{5});
 }
 
-// Depths past the inline capacity exercise the overflow layouts (vector
-// overflow in hashed-page, arena node chains in compact).
+// Depths past the inline capacity exercise the overflow vector.
 TEST(BoundedHistory, DepthPastInlineCapacityDropsFromTheFront) {
-  for (const std::string& name : {std::string("hashed-page"),
-                                  std::string("compact")}) {
-    auto store = shadow::store_registry::instance().create(
-        name, shadow::store_config{.page_bits = 8,
-                                   .granule_shift = 2,
-                                   .history_depth = 9});
-    for (unsigned r = 1; r <= 30; ++r) {
-      (void)store->read_step(0x2000, rt::strand_id{r});
-    }
-    const shadow::store::granule_state st = store->peek(0x2000);
-    ASSERT_EQ(st.readers.size(), 9u) << name;
-    for (unsigned i = 0; i < 9; ++i) {
-      EXPECT_EQ(st.readers[i], rt::strand_id{22 + i})
-          << name << " reader slot " << i;
-    }
+  shadow::store mem(shadow::store_config{.page_bits = 8,
+                                         .granule_shift = 2,
+                                         .history_depth = 9});
+  for (unsigned r = 1; r <= 30; ++r) {
+    (void)mem.read_step(0x2000, rt::strand_id{r});
+  }
+  const shadow::store::granule_state st = mem.peek(0x2000);
+  ASSERT_EQ(st.readers.size(), 9u);
+  for (unsigned i = 0; i < 9; ++i) {
+    EXPECT_EQ(st.readers[i], rt::strand_id{22 + i}) << "reader slot " << i;
   }
 }
 
 // Session-level: on the purge-stress shape (reader lists grown and purged
-// round after round) a bounded session must agree across both stores and
-// only ever shrink the full report.
-TEST(BoundedHistory, StoresAgreeOnPurgeStressAtEveryDepth) {
+// round after round) a bounded session must only ever shrink the full
+// report, and a second replay must reproduce the first.
+TEST(BoundedHistory, PurgeStressOnlyShrinksTheReportAtEveryDepth) {
   const corpus::corpus_entry* e = corpus_manifest().find("purge-stress");
   ASSERT_NE(e, nullptr);
   trace::memory_trace tape = load_entry_trace(*e);
@@ -311,23 +289,21 @@ TEST(BoundedHistory, StoresAgreeOnPurgeStressAtEveryDepth) {
 
   for (std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     std::vector<std::unique_ptr<session>> runs;
-    for (const std::string& store : {std::string("hashed-page"),
-                                     std::string("compact")}) {
+    for (int round = 0; round < 2; ++round) {
       auto s = std::make_unique<session>(
           session::options{.backend = "multibags+",
                            .granule = tape.header().granule,
-                           .shadow_store = store,
                            .shadow_history_depth = depth});
       s->replay(tape);
       tape.rewind();
       for (std::uintptr_t g : s->report().racy_granules()) {
         EXPECT_TRUE(gold.racy_granules.count(static_cast<std::uint64_t>(g)))
-            << store << " depth " << depth << " invented a racy granule";
+            << "depth " << depth << " invented a racy granule";
       }
       runs.push_back(std::move(s));
     }
     expect_identical_reports(*runs[0], *runs[1],
-                             "hashed-page vs compact depth " +
+                             "replay vs replay at depth " +
                                  std::to_string(depth));
   }
 }

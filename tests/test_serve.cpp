@@ -12,7 +12,7 @@
 //              disconnected streams each fail alone — siblings complete and
 //              the daemon keeps serving.
 //   reset      session::reset() must make replay #2 byte-identical to
-//              replay #1 across the (entry x backend x store) cube; the
+//              replay #1 across the (entry x backend) cube; the
 //              worker pool's recycling is sound only if this holds.
 //
 // The corpus directory comes from FRD_CORPUS_DIR (compile-time, overridable
@@ -39,7 +39,6 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "shadow/store.hpp"
 
 namespace frd::serve {
 namespace {
@@ -73,7 +72,7 @@ TEST(ServeProtocol, PayloadRoundTrips) {
   stream_open_msg open;
   open.stream_id = 42;
   open.backend = "multibags+";
-  open.store = "compact";
+  open.store = "hashed-page";
   open.budget = 1u << 20;
   const stream_open_msg open2 = decode_stream_open(encode(open));
   EXPECT_EQ(open2.stream_id, open.stream_id);
@@ -398,12 +397,17 @@ TEST_F(ServeDaemonTest, UnknownBackendAndStoreFailAtOpen) {
   submit_result r = cli.submit(bytes, bad_backend);
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.code, error_code::backend_error);
-  submit_options bad_store;
-  bad_store.store = "no-such-store";
-  r = cli.submit(bytes, bad_store);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.code, error_code::backend_error);
-  // The connection survives both refusals.
+  // The deleted compact layout is an unknown store like any other name;
+  // the refusal names the one store.
+  for (const char* name : {"no-such-store", "compact"}) {
+    submit_options bad_store;
+    bad_store.store = name;
+    r = cli.submit(bytes, bad_store);
+    EXPECT_FALSE(r.ok) << name;
+    EXPECT_EQ(r.code, error_code::backend_error) << name;
+    EXPECT_NE(r.error.find("hashed-page"), std::string::npos) << r.error;
+  }
+  // The connection survives every refusal.
   r = cli.submit(bytes, {});
   EXPECT_TRUE(r.ok) << r.error;
 }
@@ -554,58 +558,52 @@ TEST_F(ServeDaemonTest, ShutdownFrameStopsTheServer) {
 
 // The worker pool's recycling contract: after reset(), a session must
 // produce byte-identical reports (through write_golden) and identical race
-// encounter order on a second replay — across every corpus entry, every
-// eligible backend, and every registered shadow store.
+// encounter order on a second replay — across every flat corpus entry and
+// every eligible backend.
 TEST(SessionResetCube, SecondReplayIsByteIdentical) {
   const corpus::manifest m =
       corpus::load_manifest(corpus_dir() + "/MANIFEST");
-  const std::vector<std::string> stores =
-      shadow::store_registry::instance().names();
   std::size_t checks = 0;
   for (const corpus::corpus_entry& e : m.entries) {
     if (e.trace_file.ends_with(".frdtz")) continue;  // keep the cube fast
     trace::memory_trace tape =
         corpus::load_trace(corpus_dir() + "/" + e.trace_file);
     for (const std::string& backend : corpus::eligible_backends(e.futures)) {
-      for (const std::string& store : stores) {
-        session s(session::options{.backend = backend,
-                                   .granule = e.granule,
-                                   .shadow_store = store});
-        auto one_round = [&](std::string& golden_text,
-                             std::vector<std::uint64_t>& order) {
-          s.set_race_sink([&order](const detect::race& r) {
-            order.push_back(r.granule_addr);
-          });
-          tape.rewind();
-          corpus::golden_report g;
-          g.granule = e.granule;
-          g.events = s.replay(tape);
-          g.accesses = s.access_count();
-          g.gets = s.get_count();
-          g.violations = s.structured_violations();
-          g.racy_granules.insert(s.report().racy_granules().begin(),
-                                 s.report().racy_granules().end());
-          std::ostringstream out;
-          corpus::write_golden(out, g);
-          golden_text = out.str();
-        };
-        std::string first, second;
-        std::vector<std::uint64_t> first_order, second_order;
-        one_round(first, first_order);
-        s.reset();
-        one_round(second, second_order);
-        EXPECT_EQ(first, second)
-            << e.name << " x " << backend << " x " << store
-            << ": reset() replay diverged";
-        EXPECT_EQ(first_order, second_order)
-            << e.name << " x " << backend << " x " << store
-            << ": race encounter order changed after reset()";
-        ++checks;
-      }
+      session s(session::options{.backend = backend, .granule = e.granule});
+      auto one_round = [&](std::string& golden_text,
+                           std::vector<std::uint64_t>& order) {
+        s.set_race_sink([&order](const detect::race& r) {
+          order.push_back(r.granule_addr);
+        });
+        tape.rewind();
+        corpus::golden_report g;
+        g.granule = e.granule;
+        g.events = s.replay(tape);
+        g.accesses = s.access_count();
+        g.gets = s.get_count();
+        g.violations = s.structured_violations();
+        g.racy_granules.insert(s.report().racy_granules().begin(),
+                               s.report().racy_granules().end());
+        std::ostringstream out;
+        corpus::write_golden(out, g);
+        golden_text = out.str();
+      };
+      std::string first, second;
+      std::vector<std::uint64_t> first_order, second_order;
+      one_round(first, first_order);
+      s.reset();
+      one_round(second, second_order);
+      EXPECT_EQ(first, second)
+          << e.name << " x " << backend << ": reset() replay diverged";
+      EXPECT_EQ(first_order, second_order)
+          << e.name << " x " << backend
+          << ": race encounter order changed after reset()";
+      ++checks;
     }
   }
-  // The cube must actually be a cube, not an accidentally-empty loop.
-  EXPECT_GE(checks, 100u) << "corpus/backends/stores shrank unexpectedly";
+  // The cube must actually be a cube, not an accidentally-empty loop: 15
+  // flat entries, 54 (entry, eligible backend) pairs.
+  EXPECT_GE(checks, 54u) << "corpus/backends shrank unexpectedly";
 }
 
 }  // namespace

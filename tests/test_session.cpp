@@ -293,36 +293,23 @@ TEST(Session, WiderGranuleMergesNeighbouringLocations) {
 TEST(Session, InvalidOptionsThrowInsteadOfAborting) {
   // Option validation is catchable, like the unknown-backend case: an
   // embedder wiring options from a config file can report them. Granule
-  // validation is the detector's (backend_error); shadow sizing belongs to
-  // the store layer (store_error). Both are std::runtime_error.
+  // validation is the detector's (backend_error); the store name and the
+  // history depth belong to the store layer (store_error, tested below and
+  // in test_sampling). Both are std::runtime_error.
   EXPECT_THROW(session(session::options{.granule = 3}), backend_error);
   EXPECT_THROW(session(session::options{.granule = 0}), backend_error);
   EXPECT_THROW(session(session::options{.granule = 8192}), backend_error);
-  EXPECT_THROW(session(session::options{.shadow_page_bits = 2}),
-               shadow::store_error);
-  EXPECT_THROW(session(session::options{.shadow_page_bits = 32}),
-               shadow::store_error);
 }
 
-TEST(Session, ShadowStoreOptionSelectsTheStore) {
-  // Every registered store plugs in through the same option and yields the
-  // same verdict on the canonical racy program.
-  for (const std::string& name : shadow::store_registry::instance().names()) {
-    session s(session::options{.shadow_store = name});
-    EXPECT_EQ(s.detector().shadow_store().name(), name);
-    racy_future_program(s);
-    EXPECT_TRUE(s.report().any()) << "store '" << name << "' missed the race";
-  }
-}
-
-TEST(Session, UnknownShadowStoreThrowsListingRegisteredStores) {
-  try {
-    session s(session::options{.shadow_store = "no-such-store"});
-    FAIL() << "unknown shadow store must throw";
-  } catch (const shadow::store_error& e) {
-    const std::string msg = e.what();
-    for (const std::string& n : shadow::store_registry::instance().names()) {
-      EXPECT_NE(msg.find(n), std::string::npos) << n;
+TEST(Session, UnknownShadowStoreThrowsNamingTheOneStore) {
+  for (const char* name : {"no-such-store", "compact"}) {
+    try {
+      session s(session::options{.shadow_store = name});
+      FAIL() << "shadow store '" << name << "' must throw";
+    } catch (const shadow::store_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(name), std::string::npos) << msg;
+      EXPECT_NE(msg.find("hashed-page"), std::string::npos) << msg;
     }
   }
 }
@@ -516,6 +503,30 @@ TEST(PeakMemory, ResetClearsThePeaks) {
   EXPECT_EQ(after.peak_store_bytes, 0u)
       << "a fresh store has no reservation; a surviving peak is stale";
   EXPECT_LT(after.peak_total_bytes, peak_before);
+}
+
+// store_bytes charges the heap that long reader lists overflow into, not
+// only the shadow pages: 4,096 parallel children reading one int leave
+// 4,093 readers past the three inline slots, so the footprint (and with it
+// the peaks and the serve budgets) must grow by at least their ids.
+TEST(PeakMemory, ReaderOverflowIsChargedToTheStore) {
+  static int shared;
+  const auto store_bytes_after = [](int readers) {
+    session s(session::options{.backend = "multibags+"});
+    s.run([&] {
+      for (int i = 0; i < readers; ++i) {
+        s.runtime().spawn([&] { s.read(&shared); });
+      }
+      s.runtime().sync();
+    });
+    const detect::memory_stats m = s.memory_stats();
+    EXPECT_EQ(m.store_pages, 1u);
+    EXPECT_GE(m.peak_store_bytes, m.store_bytes);
+    return m.store_bytes;
+  };
+  const std::size_t one = store_bytes_after(1);
+  const std::size_t many = store_bytes_after(4096);
+  EXPECT_GE(many, one + 4093 * sizeof(rt::strand_id));
 }
 
 }  // namespace

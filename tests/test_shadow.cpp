@@ -1,15 +1,12 @@
 // Unit tests for the shadow-memory store layer.
 //
-// The protocol tests are parameterized over every registered store: the §3
-// semantics (lookup, reader append + dedupe, overflow, writer purge, lazy
-// page allocation) must be identical across layouts — the same contract the
-// corpus conformance suite enforces end-to-end, checked here at the store
-// interface where a failure localizes to one operation.
+// The protocol tests pin the §3 semantics (lookup, reader append + dedupe,
+// overflow, writer purge, lazy page allocation) at the store's operations,
+// where a failure localizes to one step — the same contract the corpus
+// conformance suite enforces end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -45,6 +42,19 @@ TEST(GranuleRecord, ClearRetainsOverflowCapacity) {
   rec.append_reader(7);
   EXPECT_EQ(rec.last_reader(), 7u);
   EXPECT_EQ(rec.reader_count(), 1u);
+}
+
+TEST(GranuleRecord, AppendReportsNewlyReservedHeapBytes) {
+  granule_record rec;
+  std::size_t total = 0;
+  for (strand_id s = 1; s <= 3; ++s) EXPECT_EQ(rec.append_reader(s), 0u);
+  for (strand_id s = 4; s <= 100; ++s) total += rec.append_reader(s);
+  EXPECT_GE(total, 97 * sizeof(strand_id));
+  // A purge keeps the overflow capacity, so regrowing reserves nothing.
+  rec.clear_readers();
+  std::size_t regrown = 0;
+  for (strand_id s = 1; s <= 100; ++s) regrown += rec.append_reader(s);
+  EXPECT_EQ(regrown, 0u);
 }
 
 TEST(GranuleRecord, ExactlyInlineBoundary) {
@@ -100,7 +110,7 @@ TEST(GranuleRecord, MoveAssignRelocatesIntoGrownStorage) {
   EXPECT_EQ(other.reader_count(), 6u);
 }
 
-// ------------------------------------------------------------- the stores --
+// -------------------------------------------------------------- the store --
 
 // Collects the (prior, is_write) pairs a write_step surfaces.
 struct prior_log {
@@ -110,219 +120,189 @@ struct prior_log {
   }
 };
 
-class AllStores : public ::testing::TestWithParam<std::string> {
- protected:
-  std::unique_ptr<store> make(store_config cfg = {}) const {
-    return store_registry::instance().create(GetParam(), cfg);
-  }
-};
-
-TEST_P(AllStores, FourByteGranularity) {
-  auto st = make();
+TEST(Store, FourByteGranularity) {
+  store st({});
   const std::uintptr_t base = 0x1000;
   prior_log log;
-  st->write_step(base + 0, 7, log.fn());
+  st.write_step(base + 0, 7, log.fn());
   // Bytes 0-3 of a word share a granule; byte 4 starts the next.
-  EXPECT_EQ(st->peek(base + 3).writer, 7u);
-  EXPECT_EQ(st->peek(base + 4).writer, rt::kNoStrand);
+  EXPECT_EQ(st.peek(base + 3).writer, 7u);
+  EXPECT_EQ(st.peek(base + 4).writer, rt::kNoStrand);
 }
 
-TEST_P(AllStores, PagesAllocatedLazily) {
-  auto st = make({.page_bits = 8});  // 256 granules = 1 KiB of address space
-  EXPECT_EQ(st->page_count(), 0u);
-  st->read_step(0x10000, 1);
-  EXPECT_EQ(st->page_count(), 1u);
-  st->read_step(0x10004, 1);  // same page
-  EXPECT_EQ(st->page_count(), 1u);
-  st->read_step(0x90000, 1);  // far away: new page
-  EXPECT_EQ(st->page_count(), 2u);
+TEST(Store, PagesAllocatedLazily) {
+  store st({.page_bits = 8});  // 256 granules = 1 KiB of address space
+  EXPECT_EQ(st.page_count(), 0u);
+  st.read_step(0x10000, 1);
+  EXPECT_EQ(st.page_count(), 1u);
+  st.read_step(0x10004, 1);  // same page
+  EXPECT_EQ(st.page_count(), 1u);
+  st.read_step(0x90000, 1);  // far away: new page
+  EXPECT_EQ(st.page_count(), 2u);
 }
 
-TEST_P(AllStores, PeekNeverAllocates) {
-  auto st = make();
-  EXPECT_FALSE(st->peek(0x2000).touched);
-  EXPECT_EQ(st->page_count(), 0u);
+TEST(Store, PeekNeverAllocates) {
+  store st({});
+  EXPECT_FALSE(st.peek(0x2000).touched);
+  EXPECT_EQ(st.page_count(), 0u);
   prior_log log;
-  st->write_step(0x2000, 9, log.fn());
-  const store::granule_state got = st->peek(0x2000);
+  st.write_step(0x2000, 9, log.fn());
+  const store::granule_state got = st.peek(0x2000);
   ASSERT_TRUE(got.touched);
   EXPECT_EQ(got.writer, 9u);
   // A neighbouring granule on the same (now allocated) page exists but is
   // pristine; a granule on a never-touched page is absent entirely.
-  const store::granule_state neighbour = st->peek(0x2000 + 4);
+  const store::granule_state neighbour = st.peek(0x2000 + 4);
   ASSERT_TRUE(neighbour.touched);
   EXPECT_EQ(neighbour.writer, rt::kNoStrand);
   EXPECT_TRUE(neighbour.readers.empty());
-  EXPECT_FALSE(st->peek(0x2000 + (std::uintptr_t{1} << 30)).touched);
-  EXPECT_EQ(st->page_count(), 1u);
+  EXPECT_FALSE(st.peek(0x2000 + (std::uintptr_t{1} << 30)).touched);
+  EXPECT_EQ(st.page_count(), 1u);
 }
 
-TEST_P(AllStores, DistinctAddressesKeepDistinctState) {
-  auto st = make();
+TEST(Store, DistinctAddressesKeepDistinctState) {
+  store st({});
   prior_log log;
   std::vector<std::uintptr_t> addrs;
   for (std::uintptr_t i = 0; i < 1000; ++i) addrs.push_back(0x4000 + i * 4);
   for (std::size_t i = 0; i < addrs.size(); ++i)
-    st->write_step(addrs[i], static_cast<strand_id>(i), log.fn());
+    st.write_step(addrs[i], static_cast<strand_id>(i), log.fn());
   for (std::size_t i = 0; i < addrs.size(); ++i)
-    EXPECT_EQ(st->peek(addrs[i]).writer, static_cast<strand_id>(i));
+    EXPECT_EQ(st.peek(addrs[i]).writer, static_cast<strand_id>(i));
 }
 
-TEST_P(AllStores, HotPathSurvivesPageInterleaving) {
-  auto st = make({.page_bits = 4});  // tiny pages force frequent switches
+TEST(Store, HotPathSurvivesPageInterleaving) {
+  store st({.page_bits = 4});  // tiny pages force frequent switches
   prior_log log;
   for (int round = 0; round < 3; ++round) {
     for (std::uintptr_t a = 0; a < 64; ++a) {
-      st->write_step(0x1000 + a * 4, 1, log.fn());
-      st->write_step(0x8000 + a * 4, 2, log.fn());
+      st.write_step(0x1000 + a * 4, 1, log.fn());
+      st.write_step(0x8000 + a * 4, 2, log.fn());
     }
   }
   for (std::uintptr_t a = 0; a < 64; ++a) {
-    EXPECT_EQ(st->peek(0x1000 + a * 4).writer, 1u);
-    EXPECT_EQ(st->peek(0x8000 + a * 4).writer, 2u);
+    EXPECT_EQ(st.peek(0x1000 + a * 4).writer, 1u);
+    EXPECT_EQ(st.peek(0x8000 + a * 4).writer, 2u);
   }
 }
 
-TEST_P(AllStores, ReadStepReportsThePriorWriterAndAppends) {
-  auto st = make();
+TEST(Store, ReadStepReportsThePriorWriterAndAppends) {
+  store st({});
   const std::uintptr_t a = 0x3000;
-  EXPECT_EQ(st->read_step(a, 4), rt::kNoStrand);  // no writer yet
+  EXPECT_EQ(st.read_step(a, 4), rt::kNoStrand);  // no writer yet
   prior_log log;
-  st->write_step(a, 7, log.fn());
-  EXPECT_EQ(st->read_step(a, 5), 7u);  // the §3 read race check input
-  const store::granule_state got = st->peek(a);
+  st.write_step(a, 7, log.fn());
+  EXPECT_EQ(st.read_step(a, 5), 7u);  // the §3 read race check input
+  const store::granule_state got = st.peek(a);
   EXPECT_EQ(got.writer, 7u);
   EXPECT_EQ(got.readers, (std::vector<strand_id>{5}));
 }
 
-TEST_P(AllStores, ReadDedupeSkipsTailReaderAndOwnWriter) {
-  auto st = make();
+TEST(Store, ReadDedupeSkipsTailReaderAndOwnWriter) {
+  store st({});
   const std::uintptr_t a = 0x3000;
   // Consecutive reads by one strand are recorded once (tail dedupe)...
-  st->read_step(a, 5);
-  st->read_step(a, 5);
-  st->read_step(a, 6);
-  st->read_step(a, 6);
-  EXPECT_EQ(st->peek(a).readers, (std::vector<strand_id>{5, 6}));
+  st.read_step(a, 5);
+  st.read_step(a, 5);
+  st.read_step(a, 6);
+  st.read_step(a, 6);
+  EXPECT_EQ(st.peek(a).readers, (std::vector<strand_id>{5, 6}));
   // ...and a strand that just wrote the granule is not recorded as a reader
   // (the writer field already guards it).
   prior_log log;
-  st->write_step(a, 9, log.fn());
-  st->read_step(a, 9);
-  EXPECT_TRUE(st->peek(a).readers.empty());
+  st.write_step(a, 9, log.fn());
+  st.read_step(a, 9);
+  EXPECT_TRUE(st.peek(a).readers.empty());
   // A reader interleaved between two reads of another strand defeats the
   // tail dedupe by design (both occurrences are real §3 state).
-  st->read_step(a, 5);
-  st->read_step(a, 6);
-  st->read_step(a, 5);
-  EXPECT_EQ(st->peek(a).readers, (std::vector<strand_id>{5, 6, 5}));
+  st.read_step(a, 5);
+  st.read_step(a, 6);
+  st.read_step(a, 5);
+  EXPECT_EQ(st.peek(a).readers, (std::vector<strand_id>{5, 6, 5}));
 }
 
-TEST_P(AllStores, ReaderOverflowKeepsAppendOrder) {
-  auto st = make();
+TEST(Store, ReaderOverflowKeepsAppendOrder) {
+  store st({});
   const std::uintptr_t a = 0x5000;
   std::vector<strand_id> want;
   for (strand_id s = 1; s <= 100; ++s) {  // far past any inline capacity
-    st->read_step(a, s);
+    st.read_step(a, s);
     want.push_back(s);
   }
-  EXPECT_EQ(st->peek(a).readers, want);
+  EXPECT_EQ(st.peek(a).readers, want);
 }
 
-TEST_P(AllStores, WriteStepSurfacesWriterThenReadersThenPurges) {
-  auto st = make();
+TEST(Store, WriteStepSurfacesWriterThenReadersThenPurges) {
+  store st({});
   const std::uintptr_t a = 0x6000;
   prior_log setup;
-  st->write_step(a, 1, setup.fn());
+  st.write_step(a, 1, setup.fn());
   EXPECT_TRUE(setup.seen.empty()) << "pristine granule has no prior accesses";
-  st->read_step(a, 2);
-  st->read_step(a, 3);
-  st->read_step(a, 4);
+  st.read_step(a, 2);
+  st.read_step(a, 3);
+  st.read_step(a, 4);
 
   prior_log log;
-  st->write_step(a, 9, log.fn());
+  st.write_step(a, 9, log.fn());
   const std::vector<std::pair<strand_id, bool>> want{
       {1, true}, {2, false}, {3, false}, {4, false}};
   EXPECT_EQ(log.seen, want) << "previous writer first, readers in append order";
 
-  const store::granule_state got = st->peek(a);
+  const store::granule_state got = st.peek(a);
   EXPECT_EQ(got.writer, 9u);
   EXPECT_TRUE(got.readers.empty()) << "the write purges the reader list";
-  EXPECT_EQ(st->read_step(a, 2), 9u) << "the new writer answers later reads";
+  EXPECT_EQ(st.read_step(a, 2), 9u) << "the new writer answers later reads";
 }
 
-TEST_P(AllStores, PurgeCyclesReuseOverflowStorage) {
+TEST(Store, PurgeCyclesReuseOverflowStorage) {
   // Steady-state §3 behavior: grow a long reader list, purge, grow again.
   // Storage must be reusable (bytes_reserved bounded by the peak, not the
   // cumulative number of readers ever appended).
-  auto st = make();
+  store st({});
   const std::uintptr_t a = 0x7000;
   prior_log log;
-  st->write_step(a, 1, log.fn());
-  for (strand_id s = 0; s < 256; ++s) st->read_step(a, s + 2);
-  st->write_step(a, 1, log.fn());
-  const std::size_t after_first_purge = st->bytes_reserved();
+  st.write_step(a, 1, log.fn());
+  for (strand_id s = 0; s < 256; ++s) st.read_step(a, s + 2);
+  st.write_step(a, 1, log.fn());
+  const std::size_t after_first_purge = st.bytes_reserved();
   for (int round = 0; round < 50; ++round) {
-    for (strand_id s = 0; s < 256; ++s) st->read_step(a, s + 2);
-    st->write_step(a, 1, log.fn());
-    EXPECT_TRUE(st->peek(a).readers.empty());
+    for (strand_id s = 0; s < 256; ++s) st.read_step(a, s + 2);
+    st.write_step(a, 1, log.fn());
+    EXPECT_TRUE(st.peek(a).readers.empty());
   }
-  EXPECT_LE(st->bytes_reserved(), after_first_purge)
+  EXPECT_LE(st.bytes_reserved(), after_first_purge)
       << "purge cycles must recycle overflow storage, not leak it";
 }
 
-TEST_P(AllStores, BytesReservedTracksMaterializedPages) {
-  auto st = make({.page_bits = 8});
-  EXPECT_EQ(st->bytes_reserved(), 0u);
-  st->read_step(0x1000, 1);
-  const std::size_t one = st->bytes_reserved();
+TEST(Store, BytesReservedTracksMaterializedPages) {
+  store st({.page_bits = 8});
+  EXPECT_EQ(st.bytes_reserved(), 0u);
+  st.read_step(0x1000, 1);
+  const std::size_t one = st.bytes_reserved();
   EXPECT_GT(one, 0u);
-  st->read_step(0x100000, 1);
-  EXPECT_GT(st->bytes_reserved(), one);
+  st.read_step(0x100000, 1);
+  EXPECT_GT(st.bytes_reserved(), one);
 }
 
-TEST_P(AllStores, NameMatchesTheRegistryKey) {
-  auto st = make();
-  EXPECT_EQ(st->name(), GetParam());
+TEST(Store, BytesReservedCountsReaderOverflow) {
+  // Readers past the inline slots live on the heap; the footprint the
+  // memory budgets read must include them.
+  store st({.page_bits = 8});
+  st.read_step(0x1000, 1);
+  const std::size_t pages_only = st.bytes_reserved();
+  for (strand_id s = 2; s <= 3; ++s) st.read_step(0x1000, s);
+  EXPECT_EQ(st.bytes_reserved(), pages_only) << "inline readers are free";
+  for (strand_id s = 4; s <= 1000; ++s) st.read_step(0x1000, s);
+  EXPECT_GE(st.bytes_reserved(), pages_only + 997 * sizeof(strand_id));
 }
 
-std::string store_case_name(const ::testing::TestParamInfo<std::string>& i) {
-  std::string s = i.param;
-  for (char& c : s)
-    if (c == '-') c = '_';
-  return s;
-}
-
-INSTANTIATE_TEST_SUITE_P(Registry, AllStores,
-                         ::testing::ValuesIn(store_registry::instance().names()),
-                         store_case_name);
-
-// ----------------------------------------------------------- the registry --
-
-TEST(StoreRegistry, UnknownNameThrowsListingEveryStore) {
-  try {
-    store_registry::instance().create("no-such-store", {});
-    FAIL() << "unknown store name must throw";
-  } catch (const store_error& e) {
-    const std::string msg = e.what();
-    for (const std::string& n : store_registry::instance().names()) {
-      EXPECT_NE(msg.find(n), std::string::npos)
-          << "error must list registered store '" << n << "'";
-    }
-  }
-}
-
-TEST(StoreRegistry, RejectsOutOfRangeConfigs) {
-  auto& reg = store_registry::instance();
-  EXPECT_THROW(reg.create(kDefaultStore, {.page_bits = 3}), store_error);
-  EXPECT_THROW(reg.create(kDefaultStore, {.page_bits = 25}), store_error);
-  EXPECT_THROW(reg.create(kDefaultStore, {.granule_shift = 13}), store_error);
-}
-
-TEST(StoreRegistry, BuiltinStoresAreRegistered) {
-  auto& reg = store_registry::instance();
-  ASSERT_NE(reg.find(kDefaultStore), nullptr);
-  EXPECT_EQ(reg.names(), (std::vector<std::string>{"compact", "hashed-page"}));
+TEST(StoreConfig, RejectsOutOfRangeConfigs) {
+  EXPECT_THROW(store({.page_bits = 3}), store_error);
+  EXPECT_THROW(store({.page_bits = 25}), store_error);
+  EXPECT_THROW(store({.granule_shift = 13}), store_error);
+  EXPECT_THROW(store({.history_depth = 0}), store_error);
+  EXPECT_NO_THROW(store({.page_bits = 4}));
+  EXPECT_NO_THROW(store({.page_bits = 24}));
 }
 
 }  // namespace

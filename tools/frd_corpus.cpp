@@ -24,7 +24,6 @@
 #include "corpus/programs.hpp"
 #include "corpus/runner.hpp"
 #include "detect/registry.hpp"
-#include "shadow/store.hpp"
 #include "support/flags.hpp"
 #include "trace/event.hpp"
 
@@ -36,9 +35,9 @@ int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s <command> ...\n"
                "  generate [--dir corpus] [--only NAME]   record traces + goldens + MANIFEST\n"
-               "  verify   [--dir corpus] [--backend NAME] [--store NAME]\n"
-               "           replay all entries through every eligible backend x\n"
-               "           shadow store, diff vs goldens\n"
+               "  verify   [--dir corpus] [--backend NAME]\n"
+               "           replay all entries through every eligible backend,\n"
+               "           diff vs goldens\n"
                "  regold   [--dir corpus] [--only NAME]   re-derive goldens from existing traces\n"
                "  list     [--dir corpus]                  print the manifest\n",
                prog);
@@ -71,19 +70,15 @@ int cmd_generate(int argc, char** argv) {
     trace::memory_trace tape = corpus::record_entry(*e);
     const corpus::golden_report gold =
         corpus::gold_from_trace(tape, e->futures);
-    // Hold every eligible backend × every shadow store to the fresh golden
-    // before anything is written: generate must never ship a corpus that
-    // verify would reject, and goldens must be store-independent.
+    // Hold every eligible backend to the fresh golden before anything is
+    // written: generate must never ship a corpus that verify would reject.
     for (const std::string& backend : corpus::eligible_backends(e->futures)) {
-      for (const std::string& store :
-           shadow::store_registry::instance().names()) {
-        const auto details = corpus::check_backend(tape, gold, backend, store);
-        for (const std::string& d : details) {
-          std::fprintf(stderr, "generate %s [%s/%s]: %s\n", e->name.c_str(),
-                       backend.c_str(), store.c_str(), d.c_str());
-        }
-        if (!details.empty()) return 1;
+      const auto details = corpus::check_backend(tape, gold, backend);
+      for (const std::string& d : details) {
+        std::fprintf(stderr, "generate %s [%s]: %s\n", e->name.c_str(),
+                     backend.c_str(), d.c_str());
       }
+      if (!details.empty()) return 1;
     }
     corpus::save_trace(dir + "/" + e->trace_file, tape);
     corpus::save_golden(dir + "/" + e->golden_file, gold);
@@ -127,34 +122,28 @@ int cmd_verify(int argc, char** argv) {
   auto& dir = flags.string_flag("dir", "corpus", "corpus directory");
   auto& backend = flags.string_flag("backend", "",
                                     "check only this backend (default: all)");
-  auto& store = flags.string_flag(
-      "store", "", "check only this shadow store (default: all)");
   flags.parse();
 
   const corpus::manifest m = corpus::load_manifest(dir + "/MANIFEST");
   if (!backend.empty()) {
     detect::backend_registry::instance().at(backend);  // throws with the list
   }
-  if (!store.empty()) {
-    shadow::store_registry::instance().at(store);  // throws with the list
-  }
-  const corpus::verify_result result =
-      corpus::verify_corpus(m, dir, backend, store);
+  const corpus::verify_result result = corpus::verify_corpus(m, dir, backend);
   for (const corpus::divergence& d : result.failures) {
     for (const std::string& line : d.details) {
-      std::fprintf(stderr, "FAIL %s [%s/%s]: %s\n", d.entry.c_str(),
-                   d.backend.c_str(), d.store.c_str(), line.c_str());
+      std::fprintf(stderr, "FAIL %s [%s]: %s\n", d.entry.c_str(),
+                   d.backend.c_str(), line.c_str());
     }
   }
   if (!result.ok()) {
     std::fprintf(stderr,
-                 "corpus verify: %zu divergent entry/backend/store "
-                 "triple(s) out of %zu checks\n",
+                 "corpus verify: %zu divergent entry/backend pair(s) out of "
+                 "%zu checks\n",
                  result.failures.size(), result.checks);
     return 1;
   }
-  std::printf("corpus verify: %zu entries x eligible backends x shadow "
-              "stores, %zu checks, all conform\n",
+  std::printf("corpus verify: %zu entries x eligible backends, %zu checks, "
+              "all conform\n",
               m.entries.size(), result.checks);
   return 0;
 }

@@ -71,14 +71,14 @@ int usage(const char* prog) {
                "         (run the program live on the parallel runtime with\n"
                "          online detection; --record captures the arbitration\n"
                "          order for byte-identical serial replay)\n"
-               "  run    FILE [--backend NAME] [--store NAME] [--batch N]\n"
+               "  run    FILE [--backend NAME] [--batch N]\n"
                "         [--from N] [--to M]  (--from > 0: window conflict scan)\n"
                "  dump   FILE [--from N] [--to M]\n"
                "  stats  FILE\n"
                "  pack   FILE --out FILE   (any trace -> .frdtz container)\n"
                "  unpack FILE --out FILE   (.frdtz container -> .frdt)\n"
-               "  submit FILE --socket PATH [--backend NAME] [--store NAME]\n"
-               "         [--budget-mb N] [--golden-out FILE]  (frd-serve client)\n"
+               "  submit FILE --socket PATH [--backend NAME] [--budget-mb N]\n"
+               "         [--golden-out FILE]  (frd-serve client)\n"
                "  shutdown --socket PATH   (stop a running frd-serve)\n",
                prog);
   return 2;
@@ -133,7 +133,6 @@ void fuzz_program(session& s, std::uint64_t seed, bool structured) {
 
 void print_report(const session& s, std::uint64_t events) {
   std::printf("backend:        %s\n", std::string(s.backend_name()).c_str());
-  std::printf("shadow store:   %s\n", s.opts().shadow_store.c_str());
   if (s.opts().runtime == runtime_kind::parallel) {
     if (s.opts().runtime_workers > 0) {
       std::printf("runtime:        parallel (%u workers)\n",
@@ -516,9 +515,6 @@ int cmd_run(const std::string& path, int argc, char** argv) {
   flag_parser flags(argc, argv);
   auto& backend = flags.string_flag("backend", "multibags+",
                                     "detection backend to replay through");
-  auto& store = flags.string_flag(
-      "store", std::string(shadow::kDefaultStore),
-      "shadow store to replay on (hashed-page | compact)");
   auto& batch = flags.int_flag(
       "batch",
       static_cast<std::int64_t>(trace::trace_player::kDefaultBatchCapacity),
@@ -577,7 +573,6 @@ int cmd_run(const std::string& path, int argc, char** argv) {
   session s(session::options{
       .backend = backend,
       .granule = static_cast<std::size_t>(src->header().granule),
-      .shadow_store = store,
       .replay_batch = static_cast<std::size_t>(batch),
       .sample_rate = sample_rate,
       .sample_seed = static_cast<std::uint64_t>(sample_seed),
@@ -842,7 +837,6 @@ int cmd_submit(const std::string& path, int argc, char** argv) {
   flag_parser flags(argc, argv);
   auto& socket = flags.string_flag("socket", "", "frd-serve socket (required)");
   auto& backend = flags.string_flag("backend", "multibags+", "detector backend");
-  auto& store = flags.string_flag("store", "hashed-page", "shadow store");
   auto& budget_mb = flags.int_flag(
       "budget-mb", 0, "request this per-stream budget in MiB (<= server's)");
   auto& golden_out = flags.string_flag(
@@ -860,7 +854,6 @@ int cmd_submit(const std::string& path, int argc, char** argv) {
   serve::client cli(socket);
   serve::submit_options opt;
   opt.backend = backend;
-  opt.store = store;
   opt.budget = static_cast<std::uint64_t>(budget_mb) << 20;
   const serve::submit_result r = cli.submit_file(path, opt);
   if (!r.ok) {
@@ -871,7 +864,6 @@ int cmd_submit(const std::string& path, int argc, char** argv) {
   }
 
   std::printf("backend:        %s\n", backend.c_str());
-  std::printf("shadow store:   %s\n", store.c_str());
   std::printf("trace events:   %llu\n",
               static_cast<unsigned long long>(r.golden.events));
   std::printf("accesses:       %llu\n",

@@ -11,17 +11,16 @@ exits non-zero when any backend's share dropped below --threshold of its
 baseline share — i.e. a backend got slower *relative to the others*, which
 no machine change explains.
 
-Only rows present in BOTH snapshots (same trace, same backend) measured on
-the default shadow store at the default replay batch size participate, so
-corpus growth, store sweeps, and --batch-size sweeps never skew the
-comparison. Rows without a "store"/"batch" field (older snapshots) count as
-default rows.
+Only rows present in BOTH snapshots (same trace, same backend) measured at
+the default replay batch size participate, so corpus growth and
+--batch-size sweeps never skew the comparison. Rows without a "batch" field
+(older snapshots) count as default rows.
 
 With --fresh-micro the same relative-share guard also runs over the
-BENCH_micro_shadow.json Google-Benchmark snapshot, grouped by shadow store
-(the second component of each benchmark name, e.g.
-"BM_WriteStepSequential/compact"): a store whose per-op speed share fell
-below the threshold fails the run with the store named.
+BENCH_micro_shadow.json Google-Benchmark snapshot, grouped by benchmark
+family (the name before the first '/', e.g. "BM_ReadStepRandom"): a family
+whose per-op speed share fell below the threshold fails the run with the
+family named.
 
 With --fresh-frontier the guard runs over the BENCH_sampling_frontier.json
 snapshot, grouped by (sample_rate, history_depth) frontier point. Two extra
@@ -41,7 +40,7 @@ failing when any point's overhead factor grew beyond 1/threshold (default
 
 Usage:
   perf_compare.py --fresh build/BENCH_replay_throughput.json [--history perf]
-                  [--baseline FILE] [--threshold 0.5] [--default-store NAME]
+                  [--baseline FILE] [--threshold 0.5]
                   [--fresh-micro build/BENCH_micro_shadow.json]
                   [--baseline-micro FILE]
                   [--fresh-frontier build/BENCH_sampling_frontier.json]
@@ -60,13 +59,12 @@ import re
 import sys
 from pathlib import Path
 
-DEFAULT_STORE = "hashed-page"
 DEFAULT_BATCH = 256
 
 
-def load_rows(path, default_store):
-    """(trace, backend) -> events_per_sec for default-store, default-batch
-    rows of one replay snapshot.
+def load_rows(path):
+    """(trace, backend) -> events_per_sec for default-batch rows of one
+    replay snapshot.
 
     Newer snapshots may carry extra row fields ("format" — frdt vs frdtz
     container vs in-memory — or "container" details); those never affect
@@ -79,8 +77,6 @@ def load_rows(path, default_store):
         snap = json.load(f)
     rows = {}
     for row in snap.get("rows", []):
-        if row.get("store", default_store) != default_store:
-            continue
         if row.get("batch", DEFAULT_BATCH) != DEFAULT_BATCH:
             continue
         # Sampling-mode and bounded-history rows skip most of the measured
@@ -111,10 +107,9 @@ def load_micro_rows(path):
     return rows
 
 
-def micro_store_of(name):
-    """BM_WriteStepSequential/compact/65536 -> compact."""
-    parts = name.split("/")
-    return parts[1] if len(parts) > 1 else parts[0]
+def micro_family_of(name):
+    """BM_ReadStepRandom/65536 -> BM_ReadStepRandom."""
+    return name.split("/")[0]
 
 
 def load_frontier_rows(path):
@@ -226,7 +221,7 @@ def shares(rows, group_of):
 
 def compare_shares(label, base_shares, fresh_shares, threshold):
     """Prints the share table; returns the group names that regressed."""
-    print(f"  {label:<16} {'base share':>10} {'fresh share':>11} {'ratio':>6}")
+    print(f"  {label:<26} {'base share':>10} {'fresh share':>11} {'ratio':>6}")
     regressions = []
     for group in sorted(base_shares):
         b, f = base_shares[group], fresh_shares[group]
@@ -235,7 +230,7 @@ def compare_shares(label, base_shares, fresh_shares, threshold):
         if ratio < threshold:
             regressions.append(group)
             marker = "  <-- REGRESSION"
-        print(f"  {group:<16} {b:>10.3f} {f:>11.3f} {ratio:>6.2f}{marker}")
+        print(f"  {group:<26} {b:>10.3f} {f:>11.3f} {ratio:>6.2f}{marker}")
     return regressions
 
 
@@ -254,15 +249,13 @@ def self_test():
 
     with tempfile.TemporaryDirectory() as td:
         td = Path(td)
-        # 1. load_rows must keep only default-store/default-batch rows and
-        #    treat missing fields (older snapshots) as defaults.
+        # 1. load_rows must keep only default-batch rows and treat missing
+        #    fields (older snapshots) as defaults.
         mixed = td / "mixed.json"
         mixed.write_text(json.dumps({"rows": [
             {"trace": "t", "backend": "a", "events_per_sec": 10.0},
-            {"trace": "t", "backend": "b", "store": DEFAULT_STORE,
-             "batch": DEFAULT_BATCH, "events_per_sec": 20.0},
-            {"trace": "t", "backend": "d", "store": "compact",
-             "events_per_sec": 99.0},
+            {"trace": "t", "backend": "b", "batch": DEFAULT_BATCH,
+             "events_per_sec": 20.0},
             {"trace": "t", "backend": "e", "batch": 4096,
              "events_per_sec": 99.0},
             {"trace": "t", "backend": "f", "sample_rate": 0.1,
@@ -272,11 +265,11 @@ def self_test():
             {"trace": "t", "backend": "h", "sample_rate": 1.0,
              "history_depth": "unbounded", "events_per_sec": 30.0},
         ]}))
-        rows = load_rows(mixed, DEFAULT_STORE)
+        rows = load_rows(mixed)
         check("load_rows keeps field-less rows as defaults",
               ("t", "a") in rows and ("t", "b") in rows)
-        check("load_rows drops non-default store/batch rows",
-              ("t", "d") not in rows and ("t", "e") not in rows)
+        check("load_rows drops non-default batch rows",
+              ("t", "e") not in rows)
         check("load_rows drops sampled and bounded-history rows",
               ("t", "f") not in rows and ("t", "g") not in rows)
         check("load_rows keeps explicit full-detection rows",
@@ -294,7 +287,34 @@ def self_test():
                                    shares(slow_b, lambda k: k[1]), 0.5)
         check("8x relative slowdown trips the threshold", regressed == ["b"])
 
-        # 3. frontier rows: exactness gate and fraction-drift detection.
+        # 3. micro rows group by benchmark family: a family that slowed 8x
+        #    relative to the others trips the gate, named by its family.
+        micro = td / "micro.json"
+        micro.write_text(json.dumps({"benchmarks": [
+            {"name": "BM_WriteStepSequential", "cpu_time": 2.0},
+            {"name": "BM_ReadStepRandom/65536", "cpu_time": 4.0},
+            {"name": "BM_ReadStepRandom/4194304", "cpu_time": 8.0},
+            {"name": "BM_ListenerMuxDispatch/listeners:1", "cpu_time": 1.0},
+            {"name": "BM_ReadStepRandom/65536", "cpu_time": 4.0,
+             "run_type": "aggregate"},
+        ]}))
+        mrows = load_micro_rows(micro)
+        check("load_micro_rows keeps iteration rows only", len(mrows) == 4)
+        check("micro rows group by the name before the first '/'",
+              {micro_family_of(k) for k in mrows}
+              == {"BM_WriteStepSequential", "BM_ReadStepRandom",
+                  "BM_ListenerMuxDispatch"})
+        check("identical micro snapshots pass",
+              compare_shares("family", shares(mrows, micro_family_of),
+                             shares(mrows, micro_family_of), 0.5) == [])
+        slow_read = {k: (v / 8 if k.startswith("BM_ReadStepRandom/") else v)
+                     for k, v in mrows.items()}
+        check("an 8x relative family slowdown trips the micro gate",
+              compare_shares("family", shares(mrows, micro_family_of),
+                             shares(slow_read, micro_family_of), 0.5)
+              == ["BM_ReadStepRandom"])
+
+        # 4. frontier rows: exactness gate and fraction-drift detection.
         frontier = td / "frontier.json"
         frontier.write_text(json.dumps({"rows": [
             {"trace": "t", "sample_rate": 1.0, "history_depth": "unbounded",
@@ -322,7 +342,7 @@ def self_test():
         check("identical fractions produce no drift",
               frontier_fraction_drift(frows, frows) == [])
 
-        # 4. online rows: bare rows are the denominator, not data points;
+        # 5. online rows: bare rows are the denominator, not data points;
         #    the gate is per-point overhead growth, not a share.
         online = td / "online.json"
         online.write_text(json.dumps({"rows": [
@@ -347,7 +367,7 @@ def self_test():
               compare_overheads(orows, bloated, 2.0)
               == ["lcs/multibags+/w4"])
 
-        # 5. baseline discovery picks the highest PR number per suffix.
+        # 6. baseline discovery picks the highest PR number per suffix.
         for name in ("pr3_replay_throughput.json", "pr10_replay_throughput.json",
                      "pr7_online_overhead.json"):
             (td / name).write_text("{}")
@@ -377,15 +397,13 @@ def main():
     ap.add_argument("--baseline", default=None,
                     help="explicit replay baseline (overrides --history)")
     ap.add_argument("--threshold", type=float, default=0.5,
-                    help="flag a backend/store whose relative share fell "
+                    help="flag a backend/family whose relative share fell "
                          "below THRESHOLD x its baseline share (default 0.5 "
                          "— loose on purpose; times on small traces and "
                          "per-op microbenches are noisy)")
-    ap.add_argument("--default-store", default=DEFAULT_STORE,
-                    help="store whose rows form the replay trajectory")
     ap.add_argument("--fresh-micro", default=None,
                     help="BENCH_micro_shadow.json from this build; also "
-                         "guard the per-store microbench trajectory")
+                         "guard the per-family microbench trajectory")
     ap.add_argument("--baseline-micro", default=None,
                     help="explicit micro-shadow baseline (overrides "
                          "--history)")
@@ -423,8 +441,8 @@ def main():
               f"'{args.history}' — nothing to compare against")
     else:
         try:
-            fresh = load_rows(args.fresh, args.default_store)
-            base = load_rows(baseline_path, args.default_store)
+            fresh = load_rows(args.fresh)
+            base = load_rows(baseline_path)
         except (OSError, ValueError, KeyError) as e:
             print(f"perf_compare: unreadable snapshot: {e}", file=sys.stderr)
             return 2
@@ -454,7 +472,7 @@ def main():
             args.history, "micro_shadow")
         if micro_base_path is None:
             print(f"perf_compare: no pr*_micro_shadow.json under "
-                  f"'{args.history}' — skipping the store trajectory")
+                  f"'{args.history}' — skipping the micro trajectory")
         else:
             try:
                 fresh_m = load_micro_rows(args.fresh_micro)
@@ -466,20 +484,20 @@ def main():
             common_m = sorted(set(fresh_m) & set(base_m))
             if not common_m:
                 print("perf_compare: the micro snapshots share no benchmark "
-                      "rows — store set changed completely; not comparable",
-                      file=sys.stderr)
+                      "rows — benchmark set changed completely; not "
+                      "comparable", file=sys.stderr)
                 return 2
             print(f"perf_compare: {args.fresh_micro} vs {micro_base_path} "
                   f"({len(common_m)} common rows, threshold "
                   f"{args.threshold})")
             regressions = compare_shares(
-                "store",
-                shares({k: base_m[k] for k in common_m}, micro_store_of),
-                shares({k: fresh_m[k] for k in common_m}, micro_store_of),
+                "family",
+                shares({k: base_m[k] for k in common_m}, micro_family_of),
+                shares({k: fresh_m[k] for k in common_m}, micro_family_of),
                 args.threshold)
             if regressions:
                 print(f"perf_compare: relative micro-shadow regression in "
-                      f"store(s): {', '.join(regressions)} (share ratio < "
+                      f"family(ies): {', '.join(regressions)} (share ratio < "
                       f"{args.threshold}); if intentional, land the new "
                       f"perf/prN snapshot with the change and say why",
                       file=sys.stderr)
