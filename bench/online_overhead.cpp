@@ -16,7 +16,10 @@
 // against the uninstrumented references, and the online rows must report
 // zero races — an overhead number from a detector that mis-detects is not
 // an overhead number, so a racy online row fails the run before any JSON is
-// written.
+// written. Before anything is timed, a racy canary runs online at every
+// swept width and must report every racy granule a serial run of it does
+// (its golden's 32): a worker filter that dropped first accesses, or hooks
+// that compiled to nothing, fail the run there.
 //
 // On a single-core container every worker count times about the same; the
 // snapshot still fixes the overhead trajectory for hosts with real
@@ -36,6 +39,9 @@
 #include "bench/config.hpp"
 #include "bench_suite/lcs.hpp"
 #include "bench_suite/mm.hpp"
+#include "corpus/manifest.hpp"
+#include "corpus/programs.hpp"
+#include "corpus/runner.hpp"
 #include "detect/hooks.hpp"
 #include "runtime/parallel.hpp"
 #include "support/check.hpp"
@@ -159,6 +165,47 @@ row bench_online(const program_case& c, const std::string& backend,
   return out;
 }
 
+// The detection-is-on canary, outside every timed region: the racy
+// wavefront-structured-large corpus program, live on the serial runtime
+// once, then online once per width with the session defaults of the timed
+// rows. Online must find at least the serial run's racy granules, and the
+// serial run must find some. Returns false (after saying why) otherwise.
+bool online_canary(const std::string& backend,
+                   const std::vector<unsigned>& widths) {
+  const corpus::manifest m = corpus::builtin_manifest();
+  const corpus::corpus_entry* e = m.find("wavefront-structured-large");
+  if (e == nullptr) {
+    std::fprintf(stderr, "online_overhead: canary entry missing\n");
+    return false;
+  }
+  const corpus::corpus_program* prog = corpus::find_program(e->program);
+  session serial(session::options{.backend = backend, .granule = e->granule});
+  prog->run(serial, e->seed);
+  const std::size_t want = serial.report().racy_granules().size();
+  bool ok = want > 0;
+  for (unsigned w : widths) {
+    session s(session::options{.backend = backend,
+                               .granule = e->granule,
+                               .runtime = runtime_kind::parallel,
+                               .runtime_workers = w});
+    prog->run(s, e->seed);
+    const std::size_t racy = s.report().racy_granules().size();
+    std::fprintf(stderr,
+                 "[online] canary %s under %s w=%u: %zu racy granules "
+                 "(serial %zu), %llu of %llu accesses elided\n",
+                 e->name.c_str(), backend.c_str(), w, racy, want,
+                 static_cast<unsigned long long>(s.query_stats().elided),
+                 static_cast<unsigned long long>(s.access_count()));
+    if (racy < want) ok = false;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "online_overhead: the canary lost racy granules; "
+                         "detection is not fully on, so the table would "
+                         "time the wrong thing\n");
+  }
+  return ok;
+}
+
 void write_json(const std::string& path, const std::vector<row>& rows) {
   std::ofstream json(path);
   json << "{\n  \"bench\": \"online_overhead\",\n  \"rows\": [\n";
@@ -228,6 +275,8 @@ int main(int argc, char** argv) {
                          "backend\n");
     return 1;
   }
+
+  if (!online_canary(backend_names.front(), widths)) return 1;
 
   const bench_harness::sizes sz = bench_harness::scaled_sizes(scale);
   std::vector<row> rows;

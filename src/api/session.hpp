@@ -177,10 +177,9 @@ class session {
   // added via add_listener() observe the replayed stream too. Returns the
   // number of trace events consumed.
   //
-  // The race report and get_count() match the recorded live run exactly.
-  // access_count() counts sink calls, and a replayed stream makes one call
-  // per recorded granule event — so it exceeds the live count when accesses
-  // spanned granule boundaries at record time.
+  // The race report, get_count() and access_count() match the recorded live
+  // run exactly (an access counts once per granule it touches, live or
+  // replayed).
   std::uint64_t replay(trace::trace_source& src);
 
   // Periodic observation hook for long replays: `fn` fires with the running
@@ -320,13 +319,20 @@ class session {
   // hook sink through the engine's ring router for the duration. The
   // destructor restores the sink and tears the pump down even on unwind;
   // finish() surfaces pump-side errors (online_error) on the host thread.
+  // The workers drop same-window repeat accesses (DESIGN.md §9) unless the
+  // run records (the trace keeps every access) or samples (the sampling
+  // counters must see every access); the dropped tally is folded into the
+  // detector once the pump is joined.
   struct online_run {
     explicit online_run(session& s)
         : s_(s),
-          eng_(online::engine::config{.workers = s.opt_.runtime_workers,
-                                      .granule = s.opt_.granule,
-                                      .listener = s.build_listener(),
-                                      .sink = s.sink_}),
+          eng_(online::engine::config{
+              .workers = s.opt_.runtime_workers,
+              .granule = s.opt_.granule,
+              .listener = s.build_listener(),
+              .sink = s.sink_,
+              .elide_repeats =
+                  s.recorder_ == nullptr && s.opt_.sample_rate >= 1.0}),
           ort_(eng_),
           saved_sink_(s.sink_),
           hook_guard_(&eng_.router()) {
@@ -338,7 +344,10 @@ class session {
       eng_.abort();  // no-op when finish() already joined the pump
     }
     online::runtime& rt() { return ort_; }
-    void finish() { eng_.finish(); }
+    void finish() {
+      eng_.finish();
+      s_.det_->note_elided(eng_.elided());
+    }
 
     session& s_;
     online::engine eng_;

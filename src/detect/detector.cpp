@@ -175,26 +175,31 @@ void detector::on_get(rt::func_id fn, rt::strand_id u, rt::strand_id v,
 // ---------------------------------------------------------------------------
 // Memory hooks (paper §3 protocol).
 // ---------------------------------------------------------------------------
+// An access counts once per granule it touches, on every path: the hooks
+// here, the replayed events (one per granule) and the online records.
 void detector::on_read(const void* p, std::size_t bytes) {
-  ++accesses_;
-  if (cfg_.lvl != level::full) return;  // "instrumentation": the call is the cost
-  for_each_granule(p, bytes, cfg_.granule, granule_mask_,
-                   [&](std::uintptr_t a) { check_read(a); });
-  flush_pending();
+  // Below level::full the call (and the count) is the whole cost: the
+  // paper's "instrumentation" configuration.
+  const bool full = cfg_.lvl == level::full;
+  for_each_granule(p, bytes, cfg_.granule, granule_mask_, [&](std::uintptr_t a) {
+    ++accesses_;
+    if (full) check_read(a);
+  });
+  if (full) flush_pending();
 }
 
 void detector::on_write(const void* p, std::size_t bytes) {
-  ++accesses_;
-  if (cfg_.lvl != level::full) return;
-  for_each_granule(p, bytes, cfg_.granule, granule_mask_,
-                   [&](std::uintptr_t a) { check_write(a); });
-  flush_pending();
+  const bool full = cfg_.lvl == level::full;
+  for_each_granule(p, bytes, cfg_.granule, granule_mask_, [&](std::uintptr_t a) {
+    ++accesses_;
+    if (full) check_write(a);
+  });
+  if (full) flush_pending();
 }
 
 // Replay hot path: a whole run of pre-granulated accesses behind ONE virtual
 // call, so neither the per-access dispatch nor the granule splitting of the
-// live path is paid per event. Counting matches the unbatched path exactly
-// (one access per element — the player records one event per granule). The
+// live path is paid per event. Each element is one granule access. The
 // whole run's reachability questions resolve in one flush — and therefore
 // at most one view query — at the end.
 void detector::on_accesses(std::span<const hooks::access> batch,
@@ -316,8 +321,7 @@ void detector::flush_pending() {
                    c.prior_is_write ? access_kind::write : access_kind::read,
                    current_,
                    c.current_is_write ? access_kind::write : access_kind::read};
-      report_.record(r);
-      if (race_sink_) race_sink_(r);
+      if (report_.record(r) && race_sink_) race_sink_(r);
     }
   }
   pending_.clear();

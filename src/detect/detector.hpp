@@ -109,6 +109,11 @@ struct query_plane_stats {
   // store step. sampled + skipped == the full-detection access count.
   std::uint64_t sampled = 0;
   std::uint64_t skipped = 0;
+  // Accesses the online workers dropped as same-window repeats before they
+  // reached the detector (DESIGN.md §9). They count in access_count() but
+  // were never checked. Always 0 for serial, replayed, recorded and
+  // sampled runs.
+  std::uint64_t elided = 0;
 };
 
 // Memory accounting of one detection run — the counters the ingest daemon's
@@ -162,9 +167,10 @@ class detector final : public rt::execution_listener, public hooks::access_sink 
   // frd::session::reset() drives this so pooled sessions recycle across runs.
   void reset(std::unique_ptr<reachability_backend> fresh_backend);
 
-  // Optional observer invoked once per recorded race, in encounter order,
-  // right after the report records it — the ingest daemon's incremental
-  // report emission. The callback must not re-enter the detector.
+  // Optional observer invoked once per counted race (race_report::record),
+  // in encounter order, right after the report counts it — the ingest
+  // daemon's incremental report emission. The callback must not re-enter
+  // the detector.
   void set_race_sink(std::function<void(const race&)> sink) {
     race_sink_ = std::move(sink);
   }
@@ -202,6 +208,12 @@ class detector final : public rt::execution_listener, public hooks::access_sink 
   void note_prefiltered(std::uint64_t skipped) {
     accesses_ += skipped;
     qstats_.skipped += skipped;
+  }
+  // The online engine's repeat-filter tally (DESIGN.md §9), folded in once
+  // the run is over, so access_count() equals the unfiltered run's.
+  void note_elided(std::uint64_t elided) {
+    accesses_ += elided;
+    qstats_.elided += elided;
   }
 
   // execution_listener: forwards to the backend when level >= reachability.

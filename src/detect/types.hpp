@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "runtime/events.hpp"
@@ -74,9 +75,15 @@ struct race {
   access_kind current_kind;
 };
 
-// Race sink with per-granule deduplication: every distinct racy granule is
-// counted once per conflict kind; the first max_retained full records are
-// kept for diagnostics (session::options::max_retained_races).
+// Race sink with per-granule deduplication: a race counts once per
+// (granule, prior kind, current kind) — write then read, read then write,
+// write then write — so total() is at most three per racy granule. Further
+// strand pairs with an already-counted conflict on the same granule add
+// nothing. That makes the report blind to repeated accesses: a strand's
+// second read or write of a granule can only re-report a counted conflict,
+// which is why the online workers may drop such repeats (DESIGN.md §9). The
+// first max_retained counted races are kept in full for diagnostics
+// (session::options::max_retained_races).
 class race_report {
  public:
   static constexpr std::size_t kDefaultRetained = 64;
@@ -84,10 +91,19 @@ class race_report {
   explicit race_report(std::size_t max_retained = kDefaultRetained)
       : max_retained_(max_retained) {}
 
-  void record(const race& r) {
+  // Counts `r` unless its (granule, prior kind, current kind) was counted
+  // before; returns whether it counted.
+  bool record(const race& r) {
+    const auto bit = static_cast<std::uint8_t>(
+        1u << (2 * static_cast<unsigned>(r.prior_kind) +
+               static_cast<unsigned>(r.current_kind)));
+    std::uint8_t& seen = conflicts_[r.granule_addr];
+    if ((seen & bit) != 0) return false;
+    seen |= bit;
     ++total_;
     racy_granules_.insert(r.granule_addr);
     if (races_.size() < max_retained_) races_.push_back(r);
+    return true;
   }
 
   std::uint64_t total() const { return total_; }
@@ -101,6 +117,7 @@ class race_report {
     total_ = 0;
     races_.clear();
     racy_granules_.clear();
+    conflicts_.clear();
   }
 
   // Distinct racy granules. The paper's per-location guarantee (§3): a race
@@ -115,6 +132,9 @@ class race_report {
   std::uint64_t total_ = 0;
   std::vector<race> races_;
   std::set<std::uintptr_t> racy_granules_;
+  // Counted conflict kinds per racy granule, one bit per
+  // (prior kind, current kind).
+  std::unordered_map<std::uintptr_t, std::uint8_t> conflicts_;
 };
 
 }  // namespace frd::detect

@@ -17,6 +17,15 @@ namespace frd::online {
 
 namespace {
 thread_local std::uint32_t tls_node = kNoNode;
+// The calling thread's repeat-filter window stamp. It only grows, so a
+// filter entry from an earlier window (or an earlier engine on this
+// thread) never matches; it starts at 1 because empty slots hold 0.
+thread_local std::uint64_t tls_window = 1;
+// Logs whose consumed prefix is at least this long and at least half the
+// log are trimmed.
+constexpr std::size_t kTrimRecords = 1024;
+// Released log storage kept for reuse.
+constexpr std::size_t kSpareLogs = 64;
 }  // namespace
 
 engine::engine(const config& cfg)
@@ -28,7 +37,7 @@ engine::engine(const config& cfg)
                 "online engine granule must be a power of two in [1, 4096]");
   if (cfg_.batch_capacity < 1) cfg_.batch_capacity = 1;
   for (unsigned i = 0; i < sched_.worker_count(); ++i) {
-    rings_.push_back(std::make_unique<spsc_ring<wire_rec>>(cfg_.ring_capacity));
+    lanes_.push_back(std::make_unique<lane>(cfg_.ring_capacity));
   }
 }
 
@@ -41,30 +50,53 @@ std::uint32_t engine::current_node() {
   return tls_node;
 }
 
+// A node switch starts a new window: without it, a task run right after
+// another node's accesses with no dag record in between (engine::quiesce
+// running untouched futures after the root's last accesses) would see the
+// other node's entries as its own.
 std::uint32_t engine::bind_node(std::uint32_t node) {
   const std::uint32_t prev = tls_node;
   tls_node = node;
+  ++tls_window;
   return prev;
 }
 
-void engine::log(const wire_rec& r) {
-  spsc_ring<wire_rec>& ring =
-      *rings_[rt::par::scheduler::current_worker_index()];
+void engine::push(lane& l, const wire_rec& r) {
   // A full ring is backpressure: the pump drains every ring whenever it
   // waits, so this spin always terminates.
-  while (!ring.try_push(r)) std::this_thread::yield();
+  while (!l.ring.try_push(r)) std::this_thread::yield();
+}
+
+void engine::log(const wire_rec& r) {
+  ++tls_window;  // a dag record ends the node's strand, and the window
+  push(my_lane(), r);
 }
 
 void engine::log_access(const void* p, std::size_t bytes, bool is_write) {
+  lane& l = my_lane();
   wire_rec r;
   r.node = current_node();
   r.kind = op::access;
   r.is_write = is_write ? 1 : 0;
   frd::for_each_granule(p, bytes, cfg_.granule, granule_mask_,
                         [&](std::uintptr_t a) {
+                          if (cfg_.elide_repeats &&
+                              l.filter.repeat(a, tls_window, is_write)) {
+                            ++l.elided;
+                            return;
+                          }
                           r.arg = static_cast<std::uint64_t>(a);
-                          log(r);
+                          push(l, r);
                         });
+}
+
+// Each worker bumps its tally only inside task bodies (or the root, on this
+// thread), and every task ends with note_task_finished's release; quiesce's
+// acquire of outstanding_ == 0 therefore orders all of them before this.
+std::uint64_t engine::elided() const {
+  std::uint64_t n = 0;
+  for (const auto& l : lanes_) n += l->elided;
+  return n;
 }
 
 void engine::begin_program() {
@@ -128,16 +160,26 @@ void engine::pump_main() {
   }
 }
 
+// Takes at most one ring's capacity from each ring per call: a worker that
+// pushes as fast as the pump pops cannot keep the pump draining (and the
+// logs growing) while the walk waits.
 std::size_t engine::drain_rings() {
   std::size_t drained = 0;
   wire_rec r;
-  for (auto& ring : rings_) {
-    while (ring->try_pop(r)) {
+  for (auto& l : lanes_) {
+    for (std::size_t n = 0; n < cfg_.ring_capacity && l->ring.try_pop(r); ++n) {
       if (r.node >= logs_.size()) logs_.resize(r.node + 1);
-      logs_[r.node].ops.push_back(r);
+      std::vector<wire_rec>& ops = logs_[r.node].ops;
+      if (ops.capacity() == 0 && !spare_logs_.empty()) {
+        ops = std::move(spare_logs_.back());
+        spare_logs_.pop_back();
+      }
+      ops.push_back(r);
       ++drained;
     }
   }
+  log_records_ += drained;
+  if (log_records_ > peak_log_records_) peak_log_records_ = log_records_;
   return drained;
 }
 
@@ -160,6 +202,26 @@ void engine::wait_for_records() {
 engine::node_log& engine::log_for(std::uint32_t node) {
   if (node >= logs_.size()) logs_.resize(node + 1);
   return logs_[node];
+}
+
+// A long-lived node (the root of a long loop of spawns) would otherwise
+// keep every record it ever logged. Erasing only once the consumed prefix
+// is at least half the log keeps the cost amortized O(1) per record.
+void engine::trim_log(node_log& l) {
+  if (l.cursor < kTrimRecords || 2 * l.cursor < l.ops.size()) return;
+  l.ops.erase(l.ops.begin(),
+              l.ops.begin() + static_cast<std::ptrdiff_t>(l.cursor));
+  log_records_ -= l.cursor;
+  l.cursor = 0;
+}
+
+void engine::release_log(std::uint32_t node) {
+  node_log& l = logs_[node];
+  log_records_ -= l.ops.size();
+  l.ops.clear();
+  if (spare_logs_.size() < kSpareLogs) spare_logs_.push_back(std::move(l.ops));
+  l.ops = {};
+  l.cursor = 0;
 }
 
 void engine::run_walk() {
@@ -225,6 +287,7 @@ void engine::run_walk() {
       case op::spawn:
       case op::create: {
         flush();
+        trim_log(log);
         walk_frame& top = stack.back();
         const rt::strand_id u = cur;
         const rt::func_id parent = top.fn;
@@ -256,11 +319,13 @@ void engine::run_walk() {
         // serial runtime, so the recorded trace has no boundary there —
         // flushing would split a batch the replay keeps whole.
         if (!stack.back().children.empty()) flush();
+        trim_log(log);
         do_sync(stack.back());
         break;
 
       case op::get: {
         flush();
+        trim_log(log);
         const auto it = futures.find(static_cast<std::uint32_t>(r.arg));
         if (it == futures.end()) {
           throw online_error(
@@ -290,6 +355,7 @@ void engine::run_walk() {
         }
         const walk_frame fin = std::move(stack.back());
         stack.pop_back();
+        release_log(fin.node);  // `end` is the node's last record
         walk_frame& parent = stack.back();
         if (L != nullptr) L->on_return(fin.fn, last, parent.fn);
         if (fin.is_future) {

@@ -2,7 +2,8 @@
 //
 // Every worker of the online scheduler owns one SPSC ring (ring.hpp) into
 // which it pushes wire_rec entries as the program executes: one per
-// instrumented granule access and one per dag operation (spawn, create,
+// instrumented granule access (less the same-window repeats the worker's
+// filter drops, engine.hpp) and one per dag operation (spawn, create,
 // sync, get, function end). Records carry the *online node id* of the
 // function instance that issued them — a dense id minted by the engine at
 // spawn/create time in real-time order. The pump (engine.cpp) demultiplexes

@@ -104,11 +104,12 @@ void server::wait() {
 
 void server::request_stop() {
   if (stopping_.exchange(true)) return;
-  // Wake the acceptor: shutdown() unblocks a blocked accept() without
-  // freeing the fd number (close() happens in stop(), after the join).
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   queue_cv_.notify_all();
   std::lock_guard<std::mutex> lk(stop_mu_);
+  // Wake the acceptor: shutdown() unblocks a blocked accept() without
+  // freeing the fd number (close() happens in stop(), after the join).
+  // Holding stop_mu_ orders this read against stop()'s close.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   stop_cv_.notify_all();
 }
 
@@ -117,9 +118,12 @@ void server::stop() {
   stopped_ = true;
   request_stop();
   if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  {
+    std::lock_guard<std::mutex> lk(stop_mu_);
+    if (listen_fd_ >= 0) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+    }
   }
   // Workers drain the queue before exiting (accepted work completes), then
   // connections are forced closed to unblock their readers.

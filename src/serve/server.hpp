@@ -135,6 +135,10 @@ class server {
                   const std::string& message);
 
   server_options opt_;
+  // request_stop() may run on a connection thread, so it reads this under
+  // stop_mu_, and stop() closes and resets it under stop_mu_. The acceptor
+  // reads it unlocked: start() sets it before the acceptor starts, and
+  // stop() resets it only after joining the acceptor.
   int listen_fd_ = -1;
   std::thread acceptor_;
   std::vector<std::thread> workers_;

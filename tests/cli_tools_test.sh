@@ -69,6 +69,22 @@ fi
 grep -q 'mode: *replay' "$TMP/run_bin.txt" ||
   fail "frd-trace run should report replay mode"
 
+# Online: a run that records keeps every access; one that does not drops
+# same-window repeats on the workers. Both must print the same race report,
+# and exec must say how many accesses it dropped.
+"$FRD_TRACE" exec --program fuzz --seed 7 --runtime-workers 2 \
+  --record "$TMP/live.frdt" >"$TMP/exec_rec.txt" 2>&1 ||
+  fail "frd-trace exec with --record"
+"$FRD_TRACE" exec --program fuzz --seed 7 --runtime-workers 2 \
+  >"$TMP/exec.txt" 2>&1 || fail "frd-trace exec without --record"
+if ! diff <(grep '^races:' "$TMP/exec_rec.txt") \
+          <(grep '^races:' "$TMP/exec.txt") >/dev/null; then
+  fail "exec with and without --record disagree on races"
+fi
+grep -q '^elided: *0 ' "$TMP/exec_rec.txt" ||
+  fail "a recording exec must elide nothing and say so"
+grep -q '^elided:' "$TMP/exec.txt" || fail "exec must print its elided count"
+
 # A truncated trace must be rejected, not silently shortened.
 head -c 16 "$TMP/demo.frdt" >"$TMP/cut.frdt"
 expect_rc 1 "frd-trace run rejects a truncated trace" \

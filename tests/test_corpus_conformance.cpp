@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "api/session.hpp"
 #include "corpus/golden.hpp"
 #include "corpus/manifest.hpp"
 #include "corpus/programs.hpp"
@@ -135,6 +136,23 @@ std::string case_name(const ::testing::TestParamInfo<conformance_case>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Manifest, CorpusConformance,
                          ::testing::ValuesIn(all_cases()), case_name);
+
+// A live run counts an access once per granule, as its recording does, so
+// it reports the golden's access and get counts. bst's 8-byte pointer
+// accesses span two granules each, so a count per hook call would read half
+// the golden's.
+TEST(CorpusLiveCounts, LiveRunsCountWhatTheGoldenCounts) {
+  for (const corpus_entry& e : corpus_manifest().entries) {
+    const golden_report golden =
+        load_golden(corpus_dir() + "/" + e.golden_file);
+    session s(session::options{
+        .backend = eligible_backends(e.futures).front(),
+        .granule = e.granule});
+    find_program(e.program)->run(s, e.seed);
+    EXPECT_EQ(s.access_count(), golden.accesses) << e.name;
+    EXPECT_EQ(s.get_count(), golden.gets) << e.name;
+  }
+}
 
 // --------------------------------------------------------- determinism --
 

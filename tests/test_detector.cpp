@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -352,6 +353,21 @@ TEST_P(AllBackends, RaceCountsAndRetention) {
   EXPECT_GE(h.report().total(), 100u);
 }
 
+// An access counts once per granule it touches at every level, as replayed
+// granule events and online records do.
+TEST_P(AllBackends, LiveAccessesCountOncePerGranule) {
+  for (const level lvl : {level::instrumentation, level::full}) {
+    harness h(GetParam(), lvl);
+    alignas(8) static std::array<std::uint32_t, 4> cells;
+    h.rt.run([&] {
+      h.write(&cells[0], 8);  // two 4-byte granules
+      h.read(&cells[2], 1);   // one
+      h.read(&cells[1], 8);   // straddles cells 1 and 2: two
+    });
+    EXPECT_EQ(h.s.access_count(), 5u) << to_string(lvl);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, AllBackends,
                          ::testing::Values("multibags", "multibags+",
                                            "vector-clock", "reference"),
@@ -363,6 +379,65 @@ INSTANTIATE_TEST_SUITE_P(Backends, AllBackends,
                            }
                            return name;
                          });
+
+// ------------------------------------------------------------ race report --
+// A race counts once per (granule, prior kind, current kind).
+TEST(RaceReport, RepeatedConflictCountsOnceAndIsRetainedOnce) {
+  race_report rep;
+  const race r{0x100, 1, access_kind::write, 2, access_kind::read};
+  EXPECT_TRUE(rep.record(r));
+  EXPECT_FALSE(rep.record(r));
+  // Another strand pair with the same conflict on the same granule.
+  EXPECT_FALSE(rep.record(race{0x100, 5, access_kind::write, 6,
+                               access_kind::read}));
+  EXPECT_EQ(rep.total(), 1u);
+  ASSERT_EQ(rep.retained().size(), 1u);
+  EXPECT_EQ(rep.retained().front().prior, 1u);
+  EXPECT_EQ(rep.racy_granules(), (std::set<std::uintptr_t>{0x100}));
+}
+
+TEST(RaceReport, EachConflictKindOnAGranuleCountsSeparately) {
+  race_report rep;
+  EXPECT_TRUE(rep.record(race{0x100, 1, access_kind::write, 2,
+                              access_kind::read}));
+  EXPECT_TRUE(rep.record(race{0x100, 1, access_kind::read, 2,
+                              access_kind::write}));
+  EXPECT_TRUE(rep.record(race{0x100, 1, access_kind::write, 2,
+                              access_kind::write}));
+  EXPECT_TRUE(rep.record(race{0x104, 1, access_kind::write, 2,
+                              access_kind::read}));
+  EXPECT_EQ(rep.total(), 4u);
+  EXPECT_EQ(rep.retained().size(), 4u);
+  EXPECT_EQ(rep.racy_granules().size(), 2u);
+  rep.reset();
+  EXPECT_TRUE(rep.record(race{0x100, 1, access_kind::write, 2,
+                              access_kind::read}))
+      << "reset forgets the counted conflicts";
+  EXPECT_EQ(rep.total(), 1u);
+}
+
+TEST(RaceReport, RaceSinkFiresOncePerCountedRace) {
+  harness h("multibags+");
+  std::vector<race> seen;
+  h.s.set_race_sink([&](const race& r) { seen.push_back(r); });
+  int x = 0;
+  h.rt.run([&] {
+    auto f = h.rt.create_future([&] {
+      h.write(&x);
+      return 0;
+    });
+    h.read(&x);   // write -> read: counted
+    h.read(&x);   // the same conflict again
+    h.write(&x);  // write -> write: counted
+    h.write(&x);  // the same strand's repeat: no candidate at all
+    f.get();
+  });
+  EXPECT_EQ(h.report().total(), 2u);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].current_kind, access_kind::read);
+  EXPECT_EQ(seen[1].current_kind, access_kind::write);
+  EXPECT_EQ(h.report().retained().size(), 2u);
+}
 
 // -------------------------------------------------- general-future races --
 TEST(DetectorGeneral, MultiTouchFutureOrdersBothGetters) {

@@ -9,6 +9,10 @@
 // see the same event stream; the oracle holds the whole pipeline (rings,
 // demux, walk, batching) to that claim per run.
 //
+// Recording runs push every access. Runs that neither record nor sample
+// let the workers drop same-window repeats (DESIGN.md §9); the filter
+// cube holds those to the serial live run's race and access counts.
+//
 // Note what is NOT claimed: cross-worker-count identity. Programs whose
 // structure depends on physical execution order (bst's fixup resolve order,
 // general fuzz interleavings) legitimately produce different — but each
@@ -16,6 +20,7 @@
 // its own recording.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <set>
@@ -28,6 +33,7 @@
 #include "corpus/runner.hpp"
 #include "detect/types.hpp"
 #include "online/engine.hpp"
+#include "online/runtime.hpp"
 #include "trace/event.hpp"
 
 namespace frd {
@@ -143,6 +149,8 @@ TEST_P(OnlineConformance, ReportMatchesSerialReplayOfItsOwnRecording) {
   online.record_to(tape);
   prog->run(online, e->seed);
   const fingerprint live = fingerprint_of(online);
+  EXPECT_EQ(online.query_stats().elided, 0u)
+      << "a recording run must push every access into the trace";
 
   // Replay: a fresh serial session over the recording. The batch capacity
   // matches the pump's so the query-plane counters are comparable.
@@ -166,6 +174,197 @@ std::string case_name(const ::testing::TestParamInfo<online_case>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, OnlineConformance,
                          ::testing::ValuesIn(all_cases()), case_name);
+
+// ------------------------------------------------- worker repeat filter --
+
+// Online runs that neither record nor sample drop same-window repeat
+// accesses on the workers (DESIGN.md §9). A dropped access can only repeat
+// a race its first access reported, and the report counts a race once per
+// (granule, conflict kind), so race total, racy-granule count, access count
+// and get count must all equal the serial live run's. That comparison only
+// holds for programs whose dag does not depend on the run: bst's fix-up
+// resolve order does (see the header), and under multibags its online runs
+// report races that serial runs do not, filter or no filter.
+bool dag_depends_on_the_run(const corpus::corpus_entry& e) {
+  return e.program.rfind("bst-", 0) == 0;
+}
+
+std::vector<online_case> filtered_cases() {
+  std::vector<online_case> out;
+  for (const corpus::corpus_entry& e : builtin().entries) {
+    if (dag_depends_on_the_run(e)) continue;
+    if (is_heavy(e.name)) {
+      out.push_back({e.name, "multibags+", 4u});
+      continue;
+    }
+    for (const std::string& b : corpus::eligible_backends(e.futures)) {
+      for (unsigned w : {1u, 2u, 4u}) out.push_back({e.name, b, w});
+    }
+  }
+  return out;
+}
+
+class OnlineFilter : public ::testing::TestWithParam<online_case> {};
+
+TEST_P(OnlineFilter, ReportsWhatTheSerialLiveRunReports) {
+  const online_case& c = GetParam();
+  const corpus::corpus_entry* e = builtin().find(c.entry);
+  ASSERT_NE(e, nullptr);
+  const corpus::corpus_program* prog = corpus::find_program(e->program);
+  ASSERT_NE(prog, nullptr);
+
+  session serial(session::options{.backend = c.backend, .granule = e->granule});
+  prog->run(serial, e->seed);
+  session online(session::options{.backend = c.backend,
+                                  .granule = e->granule,
+                                  .runtime = runtime_kind::parallel,
+                                  .runtime_workers = c.workers});
+  prog->run(online, e->seed);
+
+  EXPECT_EQ(online.report().total(), serial.report().total());
+  EXPECT_EQ(online.report().racy_granules().size(),
+            serial.report().racy_granules().size());
+  EXPECT_EQ(online.access_count(), serial.access_count());
+  EXPECT_EQ(online.get_count(), serial.get_count());
+  EXPECT_LE(online.query_stats().elided, online.access_count());
+  if (e->kind == corpus::entry_kind::paper_kernel) {
+    EXPECT_GT(online.query_stats().elided, 0u)
+        << "the kernels re-read their cells within a strand";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, OnlineFilter,
+                         ::testing::ValuesIn(filtered_cases()), case_name);
+
+// Sampling decides per access, so its counters must see every access: the
+// filter is off and the partition is exact.
+TEST(OnlineFilterModes, SamplingTurnsTheFilterOff) {
+  const corpus::corpus_entry* e = builtin().find("lcs-structured");
+  ASSERT_NE(e, nullptr);
+  session serial(session::options{.granule = e->granule});
+  corpus::find_program(e->program)->run(serial, e->seed);
+  session online(session::options{.granule = e->granule,
+                                  .runtime = runtime_kind::parallel,
+                                  .runtime_workers = 2,
+                                  .sample_rate = 0.5});
+  corpus::find_program(e->program)->run(online, e->seed);
+  EXPECT_EQ(online.query_stats().elided, 0u);
+  EXPECT_EQ(online.access_count(), serial.access_count());
+  EXPECT_EQ(online.query_stats().sampled + online.query_stats().skipped,
+            online.access_count());
+}
+
+// engine::quiesce runs an untouched future right after the root's last
+// access with no dag record in between; the node switch alone must start a
+// new window, or the future's read would be dropped as a repeat of the
+// root's write and its race with that write lost.
+TEST(OnlineFilterModes, ANodeSwitchStartsANewWindow) {
+  static int x;
+  const auto program = [](session& s) {
+    s.run([&](auto& rt) {
+      rt.run([&] {
+        auto f = rt.create_future([&] {
+          s.read(&x);
+          return 0;
+        });
+        s.write(&x);
+        s.write(&x);
+        (void)f;
+      });
+    });
+  };
+  session serial("multibags+");
+  program(serial);
+  ASSERT_EQ(serial.report().total(), 1u);
+  for (unsigned w : {1u, 2u}) {
+    session online(session::options{.runtime = runtime_kind::parallel,
+                                    .runtime_workers = w});
+    program(online);
+    EXPECT_EQ(online.report().total(), 1u) << "workers " << w;
+    EXPECT_EQ(online.access_count(), 3u) << "workers " << w;
+    EXPECT_EQ(online.query_stats().elided, 1u) << "workers " << w;
+  }
+}
+
+// Runs `body` (which gets the session and the runtime) serially and online
+// at widths 1 and 2, and expects the one race the serial run reports.
+template <typename Body>
+void expect_one_race_everywhere(Body body) {
+  const auto run = [&](session& s) {
+    s.run([&](auto& rt) { rt.run([&] { body(s, rt); }); });
+  };
+  session serial("multibags+");
+  run(serial);
+  ASSERT_EQ(serial.report().total(), 1u);
+  for (unsigned w : {1u, 2u}) {
+    session online(session::options{.runtime = runtime_kind::parallel,
+                                    .runtime_workers = w});
+    run(online);
+    EXPECT_EQ(online.report().total(), 1u) << "workers " << w;
+    EXPECT_EQ(online.access_count(), serial.access_count()) << "workers " << w;
+  }
+}
+
+// The create record ends the root's window: its second read of x belongs to
+// the continuation strand, which runs in parallel with the future's write.
+TEST(OnlineFilterModes, ADagRecordStartsANewWindow) {
+  static int x;
+  expect_one_race_everywhere([](session& s, auto& rt) {
+    s.read(&x);
+    auto f = rt.create_future([&] {
+      s.write(&x);
+      return 0;
+    });
+    s.read(&x);
+    f.get();
+  });
+}
+
+// Only a read after a read or write, or a write after a write, is a repeat:
+// a write after a read must reach the store, or the continuation's read
+// would not see the future's write.
+TEST(OnlineFilterModes, AWriteAfterAReadIsNeverDropped) {
+  static int x;
+  expect_one_race_everywhere([](session& s, auto& rt) {
+    auto f = rt.create_future([&] {
+      s.read(&x);
+      s.write(&x);
+      return 0;
+    });
+    s.read(&x);
+    f.get();
+  });
+}
+
+// The pump frees a node's op log when the walk leaves the node, trims the
+// consumed prefix of long-lived ones, and never drains more than a ring's
+// capacity per ring at once: a long program of sequential spawns holds a
+// bounded number of records however long it runs.
+TEST(OnlineEngine, LogRecordsStayBoundedOverSequentialSpawns) {
+  constexpr std::size_t kRing = 256;
+  const auto peak_for = [](int spawns) {
+    online::engine eng(online::engine::config{.workers = 2,
+                                              .ring_capacity = kRing});
+    online::runtime rt(eng);
+    static std::array<int, 64> cells;
+    rt.run([&] {
+      for (int i = 0; i < spawns; ++i) {
+        rt.spawn([&] {
+          for (int& c : cells) eng.router().on_write(&c, sizeof c);
+        });
+        rt.sync();
+      }
+    });
+    eng.finish();
+    return eng.peak_log_records();
+  };
+  // Every run logs 66 records per spawn; the bound does not grow with the
+  // run: the walk's backlog (a ring's worth per worker per drain) plus the
+  // root's untrimmed prefix.
+  const std::size_t bound = 4 * 2 * kRing + 2048;
+  EXPECT_LE(peak_for(500), bound);
+  EXPECT_LE(peak_for(5000), bound);
+}
 
 // ------------------------------------------------------- serial identity --
 

@@ -19,7 +19,9 @@
 // the same name.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -242,6 +244,19 @@ TEST(Sampling, EpochPolicyPartitionsTheStream) {
             s.access_count());
   EXPECT_GT(s.query_stats().sampled, 0u);
   EXPECT_GT(s.query_stats().skipped, 0u);
+}
+
+// Live hooks count one access per granule, so a multi-granule access keeps
+// the partition exact: each of its granules is sampled or skipped.
+TEST(Sampling, LiveMultiGranuleAccessesPartitionPerGranule) {
+  session s(session::options{.backend = "multibags+", .sample_rate = 0.5});
+  alignas(8) static std::array<std::uint64_t, 100> cells;
+  s.run([&] {
+    for (auto& c : cells) s.write(&c, sizeof c);
+  });
+  EXPECT_EQ(s.access_count(), 200u);
+  EXPECT_EQ(s.query_stats().sampled + s.query_stats().skipped,
+            s.access_count());
 }
 
 // ---------------------------------------------------- bounded history -----

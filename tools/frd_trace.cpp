@@ -158,6 +158,13 @@ void print_report(const session& s, std::uint64_t events) {
                           static_cast<unsigned long long>(events));
   std::printf("accesses:       %llu\n",
               static_cast<unsigned long long>(s.access_count()));
+  // Online runs drop same-window repeat accesses on the workers unless they
+  // record or sample (DESIGN.md §9); the dropped ones count in accesses.
+  if (s.opts().runtime == runtime_kind::parallel) {
+    std::printf("elided:         %llu (same-window repeats, counted above "
+                "but never checked)\n",
+                static_cast<unsigned long long>(s.query_stats().elided));
+  }
   std::printf("gets (k):       %llu\n",
               static_cast<unsigned long long>(s.get_count()));
   std::printf("races:          %llu (%zu distinct granules)\n",
