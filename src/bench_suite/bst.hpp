@@ -8,14 +8,16 @@
 // coarsening, same role as B in the DP kernels): the future count is
 // Θ(2^depth_cutoff).
 //
-// Structured: the resolver walks the fix-up queue top-down (reverse record
-//   order), so each handle's creator has already been joined before the
-//   handle is touched — single-touch + discipline hold.
+// Structured: the resolver walks the fix-ups top-down in merge-tree order
+//   (parent, then right subtree, then left), so each handle's creator has
+//   already been joined before the handle is touched — single-touch +
+//   discipline hold under any runtime.
 // General: the resolver walks bottom-up (record order): handles are touched
 //   while their creators are still logically parallel to main, which is
 //   exactly the unstructured-get pattern only MultiBags+ supports.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -94,8 +96,9 @@ bst_node* bst_merge_serial(bst_node* a, bst_node* b) {
 // mutex guards the push and `rt.quiesce()` fences the resolve pass behind
 // every outstanding body. Under the serial runtime the lock is uncontended
 // and the create/get sequence — hence the event stream — is unchanged.
-// Under a parallel runtime the fix-up order (and so the report) is
-// run-dependent; the online↔replay oracle holds per run regardless.
+// Under a parallel runtime the push order is run-dependent, and so is the
+// general resolver's order (and its report); the structured resolver sorts
+// by merge-tree position, which makes its order the serial one.
 template <typename H, typename RT>
 bst_node* bst_merge_futures(RT& rt, bst_node* t1, bst_node* t2,
                             int depth_cutoff, bool structured) {
@@ -104,7 +107,14 @@ bst_node* bst_merge_futures(RT& rt, bst_node* t1, bst_node* t2,
     bst_node* parent;
     future_t left;
     future_t right;
+    // The merge's place in the merge tree: bit 63 - d is set when step d
+    // from the root went left. Ascending (path, depth) is the tree order
+    // parent, right subtree, left subtree.
+    std::uint64_t path;
+    int depth;
   };
+  FRD_CHECK_MSG(!structured || depth_cutoff <= 64,
+                "the structured resolver orders merge trees up to 64 deep");
   bst_node* result = nullptr;
 
   rt.run([&] {
@@ -114,41 +124,50 @@ bst_node* bst_merge_futures(RT& rt, bst_node* t1, bst_node* t2,
     // Recursive merge; fix-ups are recorded after the creates return, so
     // under serial eager execution the order is DFS post-order: children
     // before their parent.
-    std::function<bst_node*(bst_node*, bst_node*, int)> merge =
-        [&](bst_node* a, bst_node* b, int depth) -> bst_node* {
+    std::function<bst_node*(bst_node*, bst_node*, int, std::uint64_t)> merge =
+        [&](bst_node* a, bst_node* b, int depth,
+            std::uint64_t path) -> bst_node* {
       if (a == nullptr) return b;
       if (b == nullptr) return a;
       if (depth >= depth_cutoff) return detail::bst_merge_serial<H>(a, b);
       auto [lo, hi] = detail::bst_split<H>(b, detect::hooks::ld<H>(a->key));
       bst_node* al = detect::hooks::ld<H>(a->left);
       bst_node* ar = detect::hooks::ld<H>(a->right);
-      future_t fl = rt.create_future(
-          [&, al, lo, depth] { return merge(al, lo, depth + 1); });
+      const std::uint64_t left_path =
+          depth < 64 ? path | (std::uint64_t{1} << (63 - depth)) : path;
+      future_t fl = rt.create_future([&, al, lo, depth, left_path] {
+        return merge(al, lo, depth + 1, left_path);
+      });
       future_t fr = rt.create_future(
-          [&, ar, hi, depth] { return merge(ar, hi, depth + 1); });
+          [&, ar, hi, depth, path] { return merge(ar, hi, depth + 1, path); });
       {
         std::lock_guard<std::mutex> g(mu);
-        fixups.push_back(fixup{a, std::move(fl), std::move(fr)});
+        fixups.push_back(fixup{a, std::move(fl), std::move(fr), path, depth});
       }
       return a;
     };
 
-    result = merge(t1, t2, 0);
+    result = merge(t1, t2, 0, 0);
     // All bodies (and so all fix-up pushes) are complete past this point;
     // no-op under serial where create was eager anyway.
     rt.quiesce();
 
-    auto resolve = [&](fixup& f) {
+    // General resolves bottom-up in push order, joining handles whose
+    // creators are still parallel to main. Structured resolves top-down: a
+    // fix-up's handles were created by a body that an earlier (parent)
+    // fix-up already joined. Serial eager execution pushes in post-order
+    // (left, right, parent), so its merge-tree order is the reverse push
+    // order.
+    if (structured) {
+      std::sort(fixups.begin(), fixups.end(),
+                [](const fixup& x, const fixup& y) {
+                  return x.path != y.path ? x.path < y.path
+                                          : x.depth < y.depth;
+                });
+    }
+    for (fixup& f : fixups) {
       detect::hooks::st<H>(f.parent->left, f.left.get());
       detect::hooks::st<H>(f.parent->right, f.right.get());
-    };
-    if (structured) {
-      // Top-down: a fix-up's handles were created by a body that an earlier
-      // (parent) fix-up already joined.
-      for (auto it = fixups.rbegin(); it != fixups.rend(); ++it) resolve(*it);
-    } else {
-      // Bottom-up: joins handles whose creators are still parallel to main.
-      for (fixup& f : fixups) resolve(f);
     }
   });
   return result;

@@ -27,19 +27,34 @@ stream_chunker::stream_chunker(const chunk_params& params)
   mask_ = mask - 1;
 }
 
+std::size_t stream_chunker::next_cut(std::span<const std::uint8_t> data) {
+  std::uint64_t hash = hash_;
+  std::size_t len = len_;
+  for (std::size_t k = 0; k < data.size(); ++k) {
+    hash = (hash << 1) + gear_[data[k]];
+    ++len;
+    if ((len >= params_.min_size && (hash & mask_) == 0) ||
+        len >= params_.max_size) {
+      hash_ = 0;
+      len_ = 0;
+      return k + 1;
+    }
+  }
+  hash_ = hash;
+  len_ = len;
+  return 0;
+}
+
 std::vector<chunk_ref> chunk_bytes(std::span<const std::uint8_t> data,
                                    const chunk_params& params) {
   stream_chunker ck(params);
   std::vector<chunk_ref> chunks;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (ck.push(data[i])) {
-      chunks.push_back(chunk_ref{start, i - start + 1});
-      start = i + 1;
-    }
+  for (std::size_t start = 0; start < data.size();) {
+    const std::size_t cut = ck.next_cut(data.subspan(start));
+    const std::size_t size = cut != 0 ? cut : data.size() - start;
+    chunks.push_back(chunk_ref{start, size});
+    start += size;
   }
-  if (start < data.size())
-    chunks.push_back(chunk_ref{start, data.size() - start});
   return chunks;
 }
 

@@ -29,28 +29,22 @@ std::vector<chunk_ref> chunk_bytes(std::span<const std::uint8_t> data,
 
 // Incremental form of the same cut decision, for producers that stream bytes
 // instead of materializing them (the .frdtz container writer). Feeding any
-// byte sequence through push() one call at a time — regardless of how the
-// sequence is split across calls — yields exactly the cut points
-// chunk_bytes() finds on the whole buffer; tests hold the two to each other.
+// byte sequence through next_cut() — regardless of how the sequence is
+// split across calls — yields exactly the cut points chunk_bytes() finds on
+// the whole buffer; tests hold the two to each other.
 class stream_chunker {
  public:
   explicit stream_chunker(const chunk_params& params = {});
 
-  // Consumes one byte; returns true when a chunk boundary falls AFTER this
-  // byte (the byte is the last of its chunk). State resets for the next
-  // chunk automatically.
-  bool push(std::uint8_t b) {
-    hash_ = (hash_ << 1) + gear_[b];
-    ++len_;
-    const bool cut =
-        (len_ >= params_.min_size && (hash_ & mask_) == 0) ||
-        len_ >= params_.max_size;
-    if (cut) {
-      hash_ = 0;
-      len_ = 0;
-    }
-    return cut;
-  }
+  // Consumes `data` in order up to and including the first byte that ends a
+  // chunk and returns how many bytes that was, or 0 when no byte of it ends
+  // one (then all of it was consumed). State resets at a cut and carries
+  // over between calls, so the cuts do not depend on how the bytes are
+  // split into calls.
+  std::size_t next_cut(std::span<const std::uint8_t> data);
+
+  // next_cut() on one byte: true when a chunk boundary falls AFTER `b`.
+  bool push(std::uint8_t b) { return next_cut({&b, 1}) != 0; }
 
   // Bytes accumulated since the last cut (the open chunk's length so far).
   std::size_t pending() const { return len_; }

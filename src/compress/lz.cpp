@@ -1,5 +1,8 @@
 #include "compress/lz.hpp"
 
+#include <algorithm>
+#include <limits>
+
 namespace frd::compress {
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -21,6 +24,23 @@ std::uint64_t get_varint(std::span<const std::uint8_t> in, std::size_t& pos) {
     shift += 7;
     if (shift >= 64) throw decode_error("varint overflows 64 bits");
   }
+}
+
+std::uint32_t lz_compressor::start(std::size_t n) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  if (n >= kMax) {
+    throw std::length_error("lz_compress: input of 2^32 - 1 bytes or more");
+  }
+  // The call stores base_ + [0, n); when that would wrap, every old entry is
+  // cleared and numbering starts over.
+  if (n > kMax - base_) {
+    std::fill(head_.begin(), head_.end(), 0u);
+    base_ = 1;
+  }
+  if (chain_.size() < n) chain_.resize(n);
+  const std::uint32_t base = base_;
+  base_ += static_cast<std::uint32_t>(n);
+  return base;
 }
 
 std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> in,

@@ -16,7 +16,9 @@
 // window — dictionary-coder shaped like deflate, small enough to audit.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -55,58 +57,126 @@ inline std::uint32_t hash4(std::uint32_t x) {
 
 }  // namespace detail
 
-// Compresses `in`; every byte the matcher reads is announced through H
-// (H::read on input bytes, H::write on output bytes).
+// Compresses a sequence of inputs one at a time, keeping the match finder's
+// tables between calls: a caller that compresses many small inputs (the
+// .frdtz writer, one per ~4 KiB chunk) allocates and fills the 128 KiB head
+// table once instead of once per input. The tables store input positions
+// offset by a per-call base, and an entry below the current call's base was
+// left by an earlier input and reads as empty, so nothing is cleared between
+// calls. Each call's output is exactly what a fresh compressor would produce
+// for the same input. Holds 128 KiB plus 4 bytes per byte of the largest
+// input so far; not synchronized, so one instance per thread.
+class lz_compressor {
+ public:
+  lz_compressor() : head_(std::size_t{1} << detail::kHashBits, 0) {}
+
+  // Compresses `in`, which must be shorter than 2^32 - 1 bytes (a longer
+  // input throws std::length_error).
+  // Every input byte the matcher loads is announced through H::read, ranges
+  // as wide as the load, and every literal byte copied out through H::write.
+  template <typename H>
+  std::vector<std::uint8_t> compress(std::span<const std::uint8_t> in);
+
+ private:
+  // Makes room for an input of `n` bytes and returns the base its positions
+  // are stored at.
+  std::uint32_t start(std::size_t n);
+
+  std::vector<std::uint32_t> head_;   // hash -> base + newest position
+  std::vector<std::uint32_t> chain_;  // position -> base + previous position
+  std::uint32_t base_ = 1;            // 0 is never a live entry
+};
+
+// Compresses `in` with a compressor of its own (see lz_compressor).
 template <typename H>
 std::vector<std::uint8_t> lz_compress(std::span<const std::uint8_t> in) {
+  return lz_compressor().compress<H>(in);
+}
+
+namespace detail {
+
+template <typename H>
+std::uint32_t load4(const std::uint8_t* p) {
+  H::read(p, 4);
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+// Length of the common prefix of p[c..n) and p[i..n), c < i: eight bytes a
+// step while a whole word fits before `n`, then byte by byte.
+template <typename H>
+std::size_t match_length(const std::uint8_t* p, std::size_t c, std::size_t i,
+                         std::size_t n) {
+  std::size_t len = 0;
+  for (; i + len + 8 <= n; len += 8) {
+    H::read(p + c + len, 8);
+    H::read(p + i + len, 8);
+    std::uint64_t a, b;
+    std::memcpy(&a, p + c + len, 8);
+    std::memcpy(&b, p + i + len, 8);
+    if (a != b) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(a ^ b)
+                          : std::countl_zero(a ^ b);
+      return len + static_cast<std::size_t>(bit / 8);
+    }
+  }
+  for (; i + len < n; ++len) {
+    H::read(p + c + len, 1);
+    H::read(p + i + len, 1);
+    if (p[c + len] != p[i + len]) break;
+  }
+  return len;
+}
+
+}  // namespace detail
+
+template <typename H>
+std::vector<std::uint8_t> lz_compressor::compress(
+    std::span<const std::uint8_t> in) {
+  const std::uint8_t* const p = in.data();
+  const std::size_t n = in.size();
+  const std::uint32_t base = start(n);
+  std::uint32_t* const head = head_.data();
+  std::uint32_t* const chain = chain_.data();
+
   std::vector<std::uint8_t> out;
-  out.reserve(in.size() / 2 + 16);
-
-  std::vector<std::int64_t> head(std::size_t{1} << detail::kHashBits, -1);
-  std::vector<std::int64_t> chain(in.size(), -1);
-
+  out.reserve(n / 2 + 16);
   std::size_t lit_start = 0;
 
   auto flush_literals = [&](std::size_t upto) {
     if (upto == lit_start) return;
+    const std::size_t len = upto - lit_start;
     out.push_back(0x01);
-    put_varint(out, upto - lit_start);
-    for (std::size_t i = lit_start; i < upto; ++i) {
-      H::read(&in[i], 1);
-      out.push_back(in[i]);
-      H::write(&out.back(), 1);
-    }
-  };
-
-  auto load4 = [&](std::size_t i) {
-    H::read(&in[i], 4);
-    return static_cast<std::uint32_t>(in[i]) |
-           (static_cast<std::uint32_t>(in[i + 1]) << 8) |
-           (static_cast<std::uint32_t>(in[i + 2]) << 16) |
-           (static_cast<std::uint32_t>(in[i + 3]) << 24);
+    put_varint(out, len);
+    H::read(p + lit_start, len);
+    out.insert(out.end(), p + lit_start, p + upto);
+    H::write(out.data() + out.size() - len, len);
   };
 
   std::size_t i = 0;
-  while (i + detail::kMinMatch <= in.size()) {
-    const std::uint32_t h = detail::hash4(load4(i));
+  while (i + detail::kMinMatch <= n) {
+    const std::uint32_t h = detail::hash4(detail::load4<H>(p + i));
     std::size_t best_len = 0, best_dist = 0;
-    std::int64_t cand = head[h];
-    for (std::size_t depth = 0;
-         cand >= 0 && depth < detail::kMaxChain &&
-         i - static_cast<std::size_t>(cand) <= detail::kWindow;
+    std::uint32_t cand = head[h];
+    for (std::size_t depth = 0; cand >= base && depth < detail::kMaxChain &&
+                                i - (cand - base) <= detail::kWindow;
          ++depth) {
-      const auto c = static_cast<std::size_t>(cand);
-      std::size_t len = 0;
-      while (i + len < in.size() && in[c + len] == in[i + len]) {
-        H::read(&in[c + len], 1);
-        H::read(&in[i + len], 1);
-        ++len;
-      }
+      const std::size_t c = cand - base;
+      cand = chain[c];
+      // Greedy keeps the first longest match, so a candidate only matters
+      // if it also matches at best_len.
+      H::read(p + c + best_len, 1);
+      H::read(p + i + best_len, 1);
+      if (p[c + best_len] != p[i + best_len]) continue;
+      const std::size_t len = detail::match_length<H>(p, c, i, n);
       if (len > best_len) {
         best_len = len;
         best_dist = i - c;
+        if (i + len == n) break;  // no later candidate can match further
       }
-      cand = chain[c];
     }
 
     if (best_len >= detail::kMinMatch) {
@@ -117,21 +187,21 @@ std::vector<std::uint8_t> lz_compress(std::span<const std::uint8_t> in) {
       // Index every position covered by the match so later data can refer
       // into it.
       const std::size_t end = i + best_len;
-      while (i < end && i + detail::kMinMatch <= in.size()) {
-        const std::uint32_t hh = detail::hash4(load4(i));
+      while (i < end && i + detail::kMinMatch <= n) {
+        const std::uint32_t hh = detail::hash4(detail::load4<H>(p + i));
         chain[i] = head[hh];
-        head[hh] = static_cast<std::int64_t>(i);
+        head[hh] = base + static_cast<std::uint32_t>(i);
         ++i;
       }
       i = end;
       lit_start = i;
     } else {
       chain[i] = head[h];
-      head[h] = static_cast<std::int64_t>(i);
+      head[h] = base + static_cast<std::uint32_t>(i);
       ++i;
     }
   }
-  flush_literals(in.size());
+  flush_literals(n);
   out.push_back(0x00);
   return out;
 }

@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "compress/digest.hpp"
-#include "compress/lz.hpp"
 #include "detect/hooks.hpp"
 
 namespace frd::container {
@@ -14,46 +13,81 @@ using trace::trace_error;
 
 // ---------------------------------------------------- chunking_streambuf --
 
-void container_writer::chunking_streambuf::push_byte(std::uint8_t b) {
-  if (pending_start_) {
-    if (!open_has_start_) {
-      open_first_event_ = pending_event_;
-      open_first_offset_ = buf_.size();  // this byte begins that event
-      open_has_start_ = true;
+container_writer::chunking_streambuf::chunking_streambuf(
+    container_writer& owner, const compress::chunk_params& params)
+    : owner_(owner), chunker_(params), buf_(2 * params.max_size) {
+  char* const area = reinterpret_cast<char*>(buf_.data());
+  setp(area, area + buf_.size());
+}
+
+void container_writer::chunking_streambuf::note_event_start(
+    std::uint64_t index) {
+  const std::uint64_t at = raw_total();
+  // A start noted again before any byte is written replaces the earlier one:
+  // once a failed chunk write has put the inner stream in a failed state,
+  // later events write nothing, and the list must not grow with them.
+  if (!starts_.empty() && starts_.back().offset == at) {
+    starts_.back().index = index;
+  } else {
+    starts_.push_back(event_start{index, at});
+  }
+}
+
+void container_writer::chunking_streambuf::cut_chunks(bool flush_tail) {
+  std::uint8_t* const data = buf_.data();
+  const auto end = static_cast<std::size_t>(pptr() - pbase());
+  std::size_t from = 0;  // first byte of the open chunk
+  std::size_t next = 0;  // first entry of starts_ not in an emitted chunk
+  const auto emit = [&](std::size_t to) {
+    std::uint64_t first_event = started_;
+    std::uint64_t first_offset = to - from;  // no event starts in the chunk
+    const std::uint64_t limit = open_base_ + to;
+    if (next < starts_.size() && starts_[next].offset < limit) {
+      first_event = starts_[next].index;
+      first_offset = starts_[next].offset - (open_base_ + from);
+      while (next < starts_.size() && starts_[next].offset < limit) ++next;
+      started_ = starts_[next - 1].index + 1;
     }
-    started_ = pending_event_ + 1;
-    pending_start_ = false;
+    owner_.emit_chunk({data + from, to - from}, first_event, first_offset);
+    from = to;
+  };
+  while (scanned_ < end) {
+    const std::size_t cut =
+        chunker_.next_cut({data + scanned_, end - scanned_});
+    if (cut == 0) {
+      scanned_ = end;
+      break;
+    }
+    scanned_ += cut;
+    emit(scanned_);
   }
-  buf_.push_back(b);
-  ++raw_total_;
-  if (chunker_.push(b)) {
-    owner_.emit_chunk(buf_, open_has_start_ ? open_first_event_ : started_,
-                      open_has_start_ ? open_first_offset_ : buf_.size());
-    buf_.clear();
-    open_has_start_ = false;
-  }
+  if (flush_tail && from < end) emit(end);
+
+  // The open chunk moves to the front of the put area; the chunker cuts at
+  // max_size, so it is shorter than that and at least half the area is free.
+  starts_.erase(starts_.begin(),
+                starts_.begin() + static_cast<std::ptrdiff_t>(next));
+  std::memmove(data, data + from, end - from);
+  open_base_ += from;
+  scanned_ -= from;
+  char* const area = reinterpret_cast<char*>(data);
+  setp(area, area + buf_.size());
+  pbump(static_cast<int>(end - from));
 }
 
 container_writer::chunking_streambuf::int_type
 container_writer::chunking_streambuf::overflow(int_type ch) {
-  if (traits_type::eq_int_type(ch, traits_type::eof())) return ch;
-  push_byte(static_cast<std::uint8_t>(ch));
+  cut_chunks(false);
+  if (traits_type::eq_int_type(ch, traits_type::eof())) {
+    return traits_type::not_eof(ch);
+  }
+  *pptr() = traits_type::to_char_type(ch);
+  pbump(1);
   return ch;
 }
 
-std::streamsize container_writer::chunking_streambuf::xsputn(
-    const char* s, std::streamsize n) {
-  for (std::streamsize i = 0; i < n; ++i)
-    push_byte(static_cast<std::uint8_t>(s[i]));
-  return n;
-}
-
 void container_writer::chunking_streambuf::flush_open_chunk() {
-  if (buf_.empty()) return;
-  owner_.emit_chunk(buf_, open_has_start_ ? open_first_event_ : started_,
-                    open_has_start_ ? open_first_offset_ : buf_.size());
-  buf_.clear();
-  open_has_start_ = false;
+  cut_chunks(true);
 }
 
 // ------------------------------------------------------- container_writer --
@@ -100,7 +134,7 @@ void container_writer::put(const trace::trace_event& e) {
   ++events_;
 }
 
-void container_writer::emit_chunk(const std::vector<std::uint8_t>& raw,
+void container_writer::emit_chunk(std::span<const std::uint8_t> raw,
                                   std::uint64_t first_event,
                                   std::uint64_t first_offset) {
   const compress::sha1_digest digest = compress::sha1(raw);
@@ -119,9 +153,10 @@ void container_writer::emit_chunk(const std::vector<std::uint8_t>& raw,
     return;
   }
 
-  auto packed = compress::lz_compress<detect::hooks::none>(raw);
+  const auto packed = lz_.compress<detect::hooks::none>(raw);
   const bool use_lz = packed.size() < raw.size();
-  const std::vector<std::uint8_t>& stored = use_lz ? packed : raw;
+  const std::span<const std::uint8_t> stored =
+      use_lz ? std::span<const std::uint8_t>(packed) : raw;
   entry.offset = file_offset_;
   entry.stored_size = stored.size();
   entry.encoding = use_lz ? chunk_encoding::lz : chunk_encoding::raw;

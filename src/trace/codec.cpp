@@ -1,5 +1,6 @@
 #include "trace/codec.hpp"
 
+#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -13,12 +14,15 @@ namespace {
 constexpr char kMagic[4] = {'F', 'R', 'D', 'T'};
 constexpr int kEndMarker = 0xFF;
 
-void write_varint(std::ostream& out, std::uint64_t v) {
+// Appends v's varint at `out`; returns the end of what it wrote (at most 10
+// bytes).
+char* encode_varint(char* out, std::uint64_t v) {
   while (v >= 0x80) {
-    out.put(static_cast<char>((v & 0x7F) | 0x80));
+    *out++ = static_cast<char>((v & 0x7F) | 0x80);
     v >>= 7;
   }
-  out.put(static_cast<char>(v));
+  *out++ = static_cast<char>(v);
+  return out;
 }
 
 std::uint64_t read_varint(std::istream& in) {
@@ -71,9 +75,11 @@ void check_recorder_granule(std::uint32_t recorded, std::uint32_t written) {
 trace_writer::trace_writer(std::ostream& out, trace_header h)
     : out_(out), header_(h), ctor_exceptions_(std::uncaught_exceptions()) {
   check_granule(h.granule);
-  out_.write(kMagic, sizeof(kMagic));
-  write_varint(out_, h.version);
-  write_varint(out_, h.granule);
+  char buf[sizeof(kMagic) + 20];
+  std::memcpy(buf, kMagic, sizeof(kMagic));
+  char* end = encode_varint(buf + sizeof(kMagic), h.version);
+  end = encode_varint(end, h.granule);
+  out_.write(buf, end - buf);
 }
 
 trace_writer::~trace_writer() {
@@ -99,9 +105,13 @@ void trace_writer::put(const trace_event& e) {
         "put() after finish(): events past the end marker would be silently "
         "invisible to readers");
   }
-  out_.put(static_cast<char>(e.kind));
+  // One write per event: the kind byte and every varint field.
+  char buf[1 + 10 * kMaxEventFields];
+  buf[0] = static_cast<char>(e.kind);
+  char* end = buf + 1;
   const event_fields f = fields_of(e);
-  for (int i = 0; i < f.n; ++i) write_varint(out_, f.v[i]);
+  for (int i = 0; i < f.n; ++i) end = encode_varint(end, f.v[i]);
+  out_.write(buf, end - buf);
   ++events_;
 }
 

@@ -122,6 +122,35 @@ expect_rc 0 "frd-trace unpack restores the flat trace" \
 cmp -s "$TMP/demo.frdt" "$TMP/demo.roundtrip.frdt" ||
   fail "pack/unpack round trip is not byte-identical"
 
+# Writing over the input would truncate it before it is read, and the
+# failed run's clean-up would delete the only copy: both verbs must refuse
+# and leave the file as it was.
+cp "$TMP/demo.frdt" "$TMP/self.frdt"
+expect_rc 2 "frd-trace pack refuses --out naming its input" \
+  "$FRD_TRACE" pack "$TMP/self.frdt" --out "$TMP/self.frdt"
+cmp -s "$TMP/demo.frdt" "$TMP/self.frdt" ||
+  fail "pack onto its own input changed or removed the input"
+cp "$TMP/demo.frdtz" "$TMP/self.frdtz"
+expect_rc 2 "frd-trace unpack refuses --out naming its input" \
+  "$FRD_TRACE" unpack "$TMP/self.frdtz" --out "$TMP/./self.frdtz"
+cmp -s "$TMP/demo.frdtz" "$TMP/self.frdtz" ||
+  fail "unpack onto its own input changed or removed the input"
+
+# Packing is deterministic: unpacking each checked-in container and packing
+# the result again must reproduce the artifact byte for byte.
+for packed in "$CORPUS_DIR"/*.frdtz; do
+  name=$(basename "$packed" .frdtz)
+  if "$FRD_TRACE" unpack "$packed" --out "$TMP/$name.frdt" >/dev/null 2>&1 &&
+     "$FRD_TRACE" pack "$TMP/$name.frdt" --out "$TMP/$name.frdtz" \
+       >/dev/null 2>&1; then
+    cmp -s "$packed" "$TMP/$name.frdtz" ||
+      fail "re-packing $name does not reproduce the checked-in container"
+  else
+    fail "unpacking and re-packing $name"
+  fi
+  rm -f "$TMP/$name.frdt" "$TMP/$name.frdtz"
+done
+
 # Replay auto-detects the container and agrees with the flat replay.
 "$FRD_TRACE" run "$TMP/demo.frdtz" >"$TMP/run_frdtz.txt" 2>&1 ||
   fail "replaying the packed demo trace (container auto-detect)"

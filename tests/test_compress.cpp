@@ -2,8 +2,11 @@
 // properties, SHA-1 against FIPS test vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -167,6 +170,128 @@ TEST(Lz, InstrumentedVariantProducesIdenticalOutput) {
   EXPECT_EQ(plain, hooked);
 }
 
+// A seeded mix of what the compressor meets in a trace container: random
+// runs, a repeated motif, zero runs, and access records (kind byte plus a
+// varint heap address).
+std::vector<std::uint8_t> mixed_input(std::uint64_t seed, std::size_t size) {
+  prng rng(seed);
+  std::vector<std::uint8_t> motif(200);
+  for (auto& b : motif) b = static_cast<std::uint8_t>(rng.next());
+  std::vector<std::uint8_t> in;
+  while (in.size() < size) {
+    switch (rng.below(4)) {
+      case 0:
+        for (std::uint64_t k = rng.below(300); k > 0; --k)
+          in.push_back(static_cast<std::uint8_t>(rng.next()));
+        break;
+      case 1:
+        in.insert(in.end(), motif.begin(),
+                  motif.begin() + static_cast<std::ptrdiff_t>(
+                                      1 + rng.below(motif.size())));
+        break;
+      case 2:
+        in.insert(in.end(), rng.below(100), std::uint8_t{0});
+        break;
+      default:
+        for (int k = 0; k < 20; ++k) {
+          in.push_back(static_cast<std::uint8_t>(9 + rng.below(2)));
+          put_varint(in, 0x7f3a00001000ULL + 4 * rng.below(512));
+        }
+    }
+  }
+  in.resize(size);
+  return in;
+}
+
+// The compressed bytes of one seeded input, fixed: the container's chunks
+// must keep compressing to exactly what the checked-in .frdtz files hold.
+TEST(Lz, OutputIsPinned) {
+  const auto in = mixed_input(2019, 100000);
+  ASSERT_EQ(to_hex(sha1(in)), "cc12d8216545fee3c13a564a4e95e21a987642ff")
+      << "the input generator changed, not the compressor";
+  const auto c = lz_compress<none>(in);
+  EXPECT_EQ(c.size(), 55153u);
+  EXPECT_EQ(to_hex(sha1(c)), "dd09ffc02e8f9ac6b469cf80cde9280433b38600");
+  EXPECT_EQ(lz_decompress(c), in);
+}
+
+// Short, long, window-crossing, degenerate and incompressible inputs.
+std::vector<std::vector<std::uint8_t>> compressor_inputs() {
+  std::vector<std::vector<std::uint8_t>> v = {
+      {}, {'a'}, {'a', 'b'}, {'a', 'a', 'a'}, {'w', 'x', 'y', 'z'}};
+  v.push_back(mixed_input(3, 16 << 10));
+  v.push_back(mixed_input(4, (64 << 10) + 1));  // past the 64 KiB window
+  v.push_back(std::vector<std::uint8_t>(40000, 0));
+  prng rng(8);
+  std::vector<std::uint8_t> random(30000);
+  for (auto& b : random) b = static_cast<std::uint8_t>(rng.next());
+  v.push_back(random);
+  std::vector<std::uint8_t> repetitive;
+  while (repetitive.size() < 50000) {
+    const auto piece = bytes_of(rng.chance(1, 2) ? "fox jumps over " : "dog ");
+    repetitive.insert(repetitive.end(), piece.begin(), piece.end());
+  }
+  v.push_back(repetitive);
+  return v;
+}
+
+// One compressor reused over a sequence — forward, then backward so short
+// inputs follow long ones and meet their stale table entries — writes what
+// a fresh compressor writes for each input.
+template <typename H>
+void expect_reuse_matches_fresh_calls() {
+  auto inputs = compressor_inputs();
+  const auto forward = inputs;
+  inputs.insert(inputs.end(), forward.rbegin(), forward.rend());
+  lz_compressor reused;
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const auto fresh = lz_compress<H>(inputs[k]);
+    EXPECT_EQ(reused.compress<H>(inputs[k]), fresh) << "input " << k;
+    EXPECT_EQ(lz_decompress(fresh, inputs[k].size()), inputs[k])
+        << "input " << k;
+  }
+}
+
+TEST(LzCompressor, ReuseMatchesFreshCallsUninstrumented) {
+  expect_reuse_matches_fresh_calls<none>();
+}
+
+TEST(LzCompressor, ReuseMatchesFreshCallsInstrumented) {
+  expect_reuse_matches_fresh_calls<detect::hooks::active>();
+}
+
+// hooks::active announces every input byte the matcher loads and nothing
+// outside the input: a wide compare that ran past the end would show here
+// (and under AddressSanitizer).
+TEST(LzCompressor, InstrumentedReadsCoverTheInputAndStayInside) {
+  struct range_sink final : detect::hooks::access_sink {
+    std::vector<std::pair<const void*, std::size_t>> reads;
+    void on_read(const void* p, std::size_t n) override {
+      reads.emplace_back(p, n);
+    }
+    void on_write(const void*, std::size_t) override {}
+  };
+  for (const auto& in : compressor_inputs()) {
+    range_sink sink;
+    lz_compressor c;
+    {
+      detect::hooks::scoped_sink scope(&sink);
+      (void)c.compress<detect::hooks::active>(in);
+    }
+    const auto lo = reinterpret_cast<std::uintptr_t>(in.data());
+    std::vector<bool> seen(in.size(), false);
+    for (const auto& [p, n] : sink.reads) {
+      const auto at = reinterpret_cast<std::uintptr_t>(p);
+      ASSERT_TRUE(at >= lo && at + n <= lo + in.size())
+          << "read of " << n << " bytes outside a " << in.size()
+          << "-byte input";
+      for (std::size_t k = 0; k < n; ++k) seen[at - lo + k] = true;
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), false), 0)
+        << in.size() << "-byte input";
+  }
+}
+
 // -------------------------------------------------------------- chunker ---
 TEST(Chunker, CoversInputExactly) {
   prng rng(99);
@@ -259,7 +384,8 @@ TEST(StreamChunker, MatchesChunkBytesExactly) {
 }
 
 TEST(StreamChunker, CutsAreIndependentOfFeedAlignment) {
-  // Push the same bytes in wildly different batch sizes: identical cuts.
+  // Feed the same bytes to next_cut() in wildly different block sizes (the
+  // container writer hands it whatever its put area holds): identical cuts.
   prng rng(1234);
   std::vector<std::uint8_t> data(120000);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
@@ -267,16 +393,17 @@ TEST(StreamChunker, CutsAreIndependentOfFeedAlignment) {
   auto cuts_with_batches = [&](std::size_t batch) {
     stream_chunker ck;
     std::vector<std::size_t> cuts;
-    // The chunker is byte-at-a-time; "batching" here exercises restarts of
-    // the feeding loop at every alignment batch induces.
-    for (std::size_t start = 0; start < data.size(); start += batch)
-      for (std::size_t i = start;
-           i < std::min(start + batch, data.size()); ++i)
-        if (ck.push(data[i])) cuts.push_back(i + 1);
+    for (std::size_t start = 0; start < data.size();) {
+      const std::size_t end = std::min(start + batch, data.size());
+      const std::size_t cut = ck.next_cut(
+          std::span<const std::uint8_t>(data).subspan(start, end - start));
+      start = cut == 0 ? end : start + cut;
+      if (cut != 0) cuts.push_back(start);
+    }
     return cuts;
   };
   const auto one = cuts_with_batches(1);
-  for (std::size_t batch : {7u, 1024u, 4096u, 65536u})
+  for (std::size_t batch : {7u, 1024u, 4096u, 65536u, 120000u})
     EXPECT_EQ(cuts_with_batches(batch), one) << "batch " << batch;
 }
 

@@ -9,11 +9,13 @@
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/session.hpp"
+#include "compress/chunker.hpp"
 #include "container/format.hpp"
 #include "container/source.hpp"
 #include "container/writer.hpp"
@@ -271,6 +273,62 @@ TEST(ContainerWriter, FirstEventIsMonotone) {
     last = c.first_event;
   }
   EXPECT_LE(last, ci.event_count);
+}
+
+// The writer cuts its put area a block at a time; its chunk table must be
+// what chunking the whole flat stream at once gives: the same cut points,
+// and per chunk the first event starting in it with that event's offset
+// (or, when none starts in it, the next event's index and the chunk size).
+// The small parameters put several cuts in every block and events across
+// most chunk boundaries.
+TEST(ContainerWriter, ChunkTableMatchesChunkingTheWholeStream) {
+  for (const compress::chunk_params params :
+       {compress::chunk_params{}, compress::chunk_params{16, 32, 64}}) {
+    prng rng(12);
+    const trace::trace_header h{trace::kTraceVersion, 4};
+    std::ostringstream flat(std::ios::binary);
+    std::ostringstream packed(std::ios::binary);
+    std::vector<std::uint64_t> starts;  // where each event's bytes begin
+    {
+      trace::trace_writer w(flat, h);
+      container_writer cw(packed, h, params);
+      for (std::uint32_t i = 0; i < 20000; ++i) {
+        trace::trace_event e{};
+        if (rng.chance(1, 8)) {
+          e.kind = trace::event_kind::spawn;
+          e.fork = {i, i + 1, i + 2, i + 3, i + 4};
+        } else {
+          e.kind = trace::event_kind::read;
+          e.access = {0x7f3a00001000ULL + 4 * rng.below(4096)};
+        }
+        starts.push_back(static_cast<std::uint64_t>(flat.tellp()));
+        w.put(e);
+        cw.put(e);
+      }
+      w.finish();
+      cw.finish();
+    }
+    const std::string bytes = flat.str();
+    const auto cuts = compress::chunk_bytes(
+        std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()),
+        params);
+    const container_info ci = info_of(packed.str());
+    ASSERT_EQ(ci.chunks.size(), cuts.size()) << "max_size " << params.max_size;
+    std::size_t next = 0;  // first event starting at or after the chunk
+    for (std::size_t k = 0; k < cuts.size(); ++k) {
+      const std::uint64_t begin = cuts[k].offset;
+      const std::uint64_t end = begin + cuts[k].size;
+      while (next < starts.size() && starts[next] < begin) ++next;
+      const bool starts_here = next < starts.size() && starts[next] < end;
+      EXPECT_EQ(ci.chunks[k].raw_size, cuts[k].size) << "chunk " << k;
+      EXPECT_EQ(ci.chunks[k].first_event, next) << "chunk " << k;
+      EXPECT_EQ(ci.chunks[k].first_offset,
+                starts_here ? starts[next] - begin : cuts[k].size)
+          << "chunk " << k;
+    }
+    EXPECT_EQ(unpack_bytes(packed.str()), bytes);
+  }
 }
 
 // ------------------------------------------------------------- seek index --

@@ -159,7 +159,8 @@ TEST(CorpusLiveCounts, LiveRunsCountWhatTheGoldenCounts) {
 // Regenerating an entry in-process must reproduce the checked-in trace
 // byte-for-byte: address normalization makes corpus artifacts
 // machine-independent, and this is the test that keeps that promise honest.
-// One static-cells shape and one fuzz program keep it cheap.
+// One static-cells shape and one fuzz program keep it cheap; bst-structured
+// holds its resolver's merge-tree sort to the serial push order.
 class CorpusDeterminism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CorpusDeterminism, RegenerationReproducesTheCheckedInTrace) {
@@ -180,7 +181,8 @@ TEST_P(CorpusDeterminism, RegenerationReproducesTheCheckedInTrace) {
 
 INSTANTIATE_TEST_SUITE_P(Entries, CorpusDeterminism,
                          ::testing::Values("wide-fanin", "sync-heavy",
-                                           "fuzz-structured", "mm-structured"),
+                                           "fuzz-structured", "mm-structured",
+                                           "bst-structured"),
                          [](const auto& info) {
                            std::string s = info.param;
                            for (char& c : s)

@@ -14,10 +14,10 @@
 // cube holds those to the serial live run's race and access counts.
 //
 // Note what is NOT claimed: cross-worker-count identity. Programs whose
-// structure depends on physical execution order (bst's fixup resolve order,
-// general fuzz interleavings) legitimately produce different — but each
-// individually correct — reports at different widths. Each run is held to
-// its own recording.
+// structure depends on physical execution order (bst-general's bottom-up
+// resolve order, general fuzz interleavings) legitimately produce different
+// — but each individually correct — reports at different widths. Each run
+// is held to its own recording.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -181,12 +181,12 @@ INSTANTIATE_TEST_SUITE_P(Corpus, OnlineConformance,
 // accesses on the workers (DESIGN.md §9). A dropped access can only repeat
 // a race its first access reported, and the report counts a race once per
 // (granule, conflict kind), so race total, racy-granule count, access count
-// and get count must all equal the serial live run's. That comparison only
-// holds for programs whose dag does not depend on the run: bst's fix-up
-// resolve order does (see the header), and under multibags its online runs
-// report races that serial runs do not, filter or no filter.
+// and get count must all equal the serial live run's, and no run may step
+// outside the structured discipline. That comparison only holds for
+// programs whose dag does not depend on the run: bst-general resolves its
+// fix-ups in push order, which a parallel run decides (see the header).
 bool dag_depends_on_the_run(const corpus::corpus_entry& e) {
-  return e.program.rfind("bst-", 0) == 0;
+  return e.program == "bst-general";
 }
 
 std::vector<online_case> filtered_cases() {
@@ -226,6 +226,8 @@ TEST_P(OnlineFilter, ReportsWhatTheSerialLiveRunReports) {
             serial.report().racy_granules().size());
   EXPECT_EQ(online.access_count(), serial.access_count());
   EXPECT_EQ(online.get_count(), serial.get_count());
+  EXPECT_EQ(serial.structured_violations(), 0u);
+  EXPECT_EQ(online.structured_violations(), 0u);
   EXPECT_LE(online.query_stats().elided, online.access_count());
   if (e->kind == corpus::entry_kind::paper_kernel) {
     EXPECT_GT(online.query_stats().elided, 0u)

@@ -33,12 +33,14 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <unordered_map>
 
 #include "api/session.hpp"
@@ -754,6 +756,14 @@ void print_container_stats(const container::container_info& ci,
   }
 }
 
+// True when `out` names the file at `in`. Opening it for writing would
+// truncate the input before it is read, and the failed run's clean-up would
+// then delete the only copy. A missing file is never the same file.
+bool same_file(const std::string& in, const std::string& out) {
+  std::error_code ec;
+  return std::filesystem::equivalent(in, out, ec);
+}
+
 int cmd_pack(const std::string& path, int argc, char** argv) {
   flag_parser flags(argc, argv);
   auto& out_path = flags.string_flag("out", "", "output .frdtz (required)");
@@ -761,6 +771,11 @@ int cmd_pack(const std::string& path, int argc, char** argv) {
   flags.parse();
   if (out_path.empty()) {
     std::fprintf(stderr, "pack: --out is required\n");
+    return 2;
+  }
+  if (same_file(path, out_path)) {
+    std::fprintf(stderr, "pack: --out '%s' is the input file\n",
+                 out_path.c_str());
     return 2;
   }
   std::ifstream in(path, std::ios::binary);
@@ -802,6 +817,11 @@ int cmd_unpack(const std::string& path, int argc, char** argv) {
   flags.parse();
   if (out_path.empty()) {
     std::fprintf(stderr, "unpack: --out is required\n");
+    return 2;
+  }
+  if (same_file(path, out_path)) {
+    std::fprintf(stderr, "unpack: --out '%s' is the input file\n",
+                 out_path.c_str());
     return 2;
   }
   std::ifstream in(path, std::ios::binary);
