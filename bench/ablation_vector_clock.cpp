@@ -12,6 +12,7 @@
 #include <functional>
 
 #include "api/session.hpp"
+#include "bench/harness.hpp"
 #include "runtime/serial.hpp"
 #include "support/flags.hpp"
 #include "support/stats.hpp"
@@ -61,6 +62,9 @@ int main(int argc, char** argv) {
   auto& reps = flags.int_flag("reps", 3, "repetitions");
   flags.parse();
   const int n = static_cast<int>(reps);
+  // Detection-is-on canary for each timed backend, outside the timed runs.
+  for (const char* backend : {"multibags", "multibags+", "vector-clock"})
+    bench_harness::run_detection_canary(backend);
 
   // Mix 1 — MultiBags+'s design point (§5: "most of the parallelism is
   // created using spawn and sync, but there are also k future operations"):

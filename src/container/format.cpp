@@ -139,8 +139,10 @@ container_info parse_footer(const std::vector<std::uint8_t>& footer,
     std::memcpy(c.digest.data(), footer.data() + pos, c.digest.size());
     pos += c.digest.size();
 
-    if (c.offset < sizeof(kMagic) + 1 ||
-        c.offset + c.stored_size > footer_offset) {
+    // Footer values are untrusted 64-bit integers: compare without sums
+    // that could wrap.
+    if (c.offset < sizeof(kMagic) + 1 || c.offset > footer_offset ||
+        c.stored_size > footer_offset - c.offset) {
       corrupt("chunk " + std::to_string(i) +
               " points past the end of the container payload");
     }
@@ -156,6 +158,11 @@ container_info parse_footer(const std::vector<std::uint8_t>& footer,
               std::to_string(c.raw_size) + " raw bytes");
     }
     last_first_event = c.first_event;
+    if (c.raw_size > info.raw_size - covered) {
+      corrupt("chunk raw sizes cover more than the footer's declared " +
+              std::to_string(info.raw_size) + "-byte stream (chunk " +
+              std::to_string(i) + ")");
+    }
     covered += c.raw_size;
     info.chunks.push_back(c);
   }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
 #include <span>
@@ -13,13 +16,23 @@
 #include "compress/chunker.hpp"
 #include "compress/digest.hpp"
 #include "compress/lz.hpp"
+#include "container/format.hpp"
 #include "detect/detector.hpp"
 #include "support/prng.hpp"
+
+#ifndef FRD_CORPUS_DIR
+#define FRD_CORPUS_DIR "corpus"
+#endif
 
 namespace frd::compress {
 namespace {
 
 using detect::hooks::none;
+
+std::string corpus_dir() {
+  if (const char* env = std::getenv("FRD_CORPUS_DIR")) return env;
+  return FRD_CORPUS_DIR;
+}
 
 std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
@@ -452,6 +465,160 @@ TEST(Sha1, PaddingBoundaries) {
     EXPECT_TRUE(seen.insert(to_hex(sha1(in))).second) << n;
   }
 }
+
+// ------------------------------------------------------ sha1 block paths --
+// sha1() hashes through one of two block functions, picked once by CPUID.
+// Each test below runs on both. On a CPU without SHA-NI the accelerated
+// half skips and names the missing feature, so a test log shows which path
+// its machine ran.
+
+// The byte-at-a-time SHA-1 the block functions replaced: every byte of the
+// padded message, padding included, comes through byte_at.
+sha1_digest reference_sha1(std::span<const std::uint8_t> data) {
+  auto rotl = [](std::uint32_t x, int k) { return (x << k) | (x >> (32 - k)); };
+  std::uint32_t h[5] = {0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476,
+                        0xC3D2E1F0};
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(data.size()) * 8;
+  std::size_t padded = data.size() + 1;
+  while (padded % 64 != 56) ++padded;
+  padded += 8;
+  auto byte_at = [&](std::size_t i) -> std::uint8_t {
+    if (i < data.size()) return data[i];
+    if (i == data.size()) return 0x80;
+    if (i < padded - 8) return 0x00;
+    return static_cast<std::uint8_t>(bit_len >> (8 * (padded - 1 - i)));
+  };
+  std::uint32_t w[80];
+  for (std::size_t block = 0; block < padded; block += 64) {
+    for (std::size_t t = 0; t < 16; ++t) {
+      const std::size_t i = block + t * 4;
+      w[t] = (static_cast<std::uint32_t>(byte_at(i)) << 24) |
+             (static_cast<std::uint32_t>(byte_at(i + 1)) << 16) |
+             (static_cast<std::uint32_t>(byte_at(i + 2)) << 8) |
+             static_cast<std::uint32_t>(byte_at(i + 3));
+    }
+    for (int t = 16; t < 80; ++t)
+      w[t] = rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+    for (int t = 0; t < 80; ++t) {
+      std::uint32_t f, k;
+      if (t < 20) {
+        f = (b & c) | ((~b) & d);
+        k = 0x5A827999;
+      } else if (t < 40) {
+        f = b ^ c ^ d;
+        k = 0x6ED9EBA1;
+      } else if (t < 60) {
+        f = (b & c) | (b & d) | (c & d);
+        k = 0x8F1BBCDC;
+      } else {
+        f = b ^ c ^ d;
+        k = 0xCA62C1D6;
+      }
+      const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[t];
+      e = d;
+      d = c;
+      c = rotl(b, 30);
+      b = a;
+      a = tmp;
+    }
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+    h[4] += e;
+  }
+  sha1_digest out;
+  for (std::size_t i = 0; i < 20; ++i)
+    out[i] = static_cast<std::uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+enum class sha1_path { portable, accelerated };
+
+class Sha1Path : public ::testing::TestWithParam<sha1_path> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == sha1_path::portable) {
+      blocks_ = &detail::sha1_blocks_portable;
+      return;
+    }
+    const char* missing = nullptr;
+    blocks_ = detail::sha1_blocks_accelerated(&missing);
+    if (blocks_ == nullptr) {
+      GTEST_SKIP() << "no SHA-NI path here: missing " << missing
+                   << "; only the portable SHA-1 path ran";
+    }
+  }
+
+  sha1_digest hash(std::span<const std::uint8_t> in) const {
+    return detail::sha1_with(blocks_, in);
+  }
+
+  detail::sha1_block_fn blocks_ = nullptr;
+};
+
+// FIPS 180-1, appendices A, B and C.
+TEST_P(Sha1Path, FipsVectors) {
+  EXPECT_EQ(to_hex(hash(bytes_of("abc"))),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(to_hex(hash(bytes_of(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  const std::vector<std::uint8_t> million(1000000, 'a');
+  EXPECT_EQ(to_hex(hash(million)), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+TEST_P(Sha1Path, MatchesTheByteAtATimeReferenceAtEveryLengthAndOffset) {
+  // Every tail length and both padding shapes (one or two final blocks),
+  // read from every alignment within 16 bytes.
+  prng rng(180);
+  std::vector<std::uint8_t> buf(1100 + 16);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t n = 0; n <= 1100; ++n) {
+      const std::span<const std::uint8_t> in(buf.data() + offset, n);
+      ASSERT_EQ(hash(in), reference_sha1(in))
+          << "length " << n << ", offset " << offset;
+    }
+  }
+}
+
+TEST_P(Sha1Path, ReproducesEveryCheckedInContainerDigest) {
+  // Chunks are read and decompressed here, not through load_chunk, which
+  // would first check each digest with sha1()'s own path.
+  std::size_t containers = 0, chunks = 0;
+  for (const auto& file : std::filesystem::directory_iterator(corpus_dir())) {
+    if (file.path().extension() != ".frdtz") continue;
+    ++containers;
+    std::ifstream in(file.path(), std::ios::binary);
+    const container::container_info info = container::read_container_info(in);
+    for (std::size_t i = 0; i < info.chunks.size(); ++i) {
+      const container::chunk_entry& c = info.chunks[i];
+      std::vector<std::uint8_t> stored(c.stored_size);
+      in.clear();
+      in.seekg(static_cast<std::streamoff>(c.offset));
+      in.read(reinterpret_cast<char*>(stored.data()),
+              static_cast<std::streamsize>(stored.size()));
+      ASSERT_TRUE(in.good()) << file.path() << " chunk " << i;
+      const std::vector<std::uint8_t> raw =
+          c.encoding == container::chunk_encoding::lz
+              ? lz_decompress(stored, c.raw_size)
+              : stored;
+      ASSERT_EQ(hash(raw), c.digest) << file.path() << " chunk " << i;
+      ++chunks;
+    }
+  }
+  EXPECT_GE(containers, 3u) << "no checked-in .frdtz under " << corpus_dir();
+  EXPECT_GT(chunks, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothPaths, Sha1Path,
+    ::testing::Values(sha1_path::portable, sha1_path::accelerated),
+    [](const ::testing::TestParamInfo<sha1_path>& p) {
+      return p.param == sha1_path::portable ? "portable" : "accelerated";
+    });
 
 TEST(Digest, Fnv1a64KnownValues) {
   EXPECT_EQ(fnv1a64(bytes_of("")), 14695981039346656037ULL);

@@ -503,6 +503,33 @@ TEST(ContainerErrors, ChunkIndexPastEof) {
                        "points past the end of the container payload");
 }
 
+TEST(ContainerErrors, ChunkRangeThatWrapsPastTwoToTheSixtyFourth) {
+  // offset + stored_size wraps to 1 in 64-bit arithmetic, so a sum-based
+  // bound check passes it and the chunk load then asks for a ~2^64-byte
+  // buffer (std::length_error, not a trace_error).
+  const std::string packed = pack_bytes(repetitive_flat_trace(4, 400));
+  container_info ci = info_of(packed);
+  ASSERT_FALSE(ci.chunks.empty());
+  ci.chunks[0].stored_size = ~ci.chunks[0].offset + 2;
+  ASSERT_EQ(ci.chunks[0].offset + ci.chunks[0].stored_size, 1u);
+  const std::string bad = with_footer(packed, ci);
+  expect_throws_naming(bad, "points past the end of the container payload");
+  // The same bytes through the public replay path fail as a trace_error.
+  EXPECT_THROW((void)replay_racy(bad, "multibags+"), trace::trace_error);
+}
+
+TEST(ContainerErrors, ChunkRawSizesThatWrapTheCoveredSum) {
+  // Two chunk raw sizes whose 64-bit sum wraps back to the declared stream
+  // size must fail at the footer, not at the chunk load.
+  const std::string packed = pack_bytes(repetitive_flat_trace(8, 800));
+  container_info ci = info_of(packed);
+  ASSERT_GE(ci.chunks.size(), 2u);
+  ci.chunks[1].raw_size += ci.chunks[0].raw_size + 1;
+  ci.chunks[0].raw_size = ~std::uint64_t{0};  // -1: the sum is unchanged
+  expect_throws_naming(with_footer(packed, ci),
+                       "chunk raw sizes cover more than the footer's declared");
+}
+
 TEST(ContainerErrors, DigestMismatch) {
   // Raw-stored chunks (incompressible content): a payload flip is caught by
   // the SHA-1, not by the lz decoder.
