@@ -206,11 +206,20 @@ std::vector<std::uint8_t> lz_compressor::compress(
   return out;
 }
 
-// Decompresses a stream produced by lz_compress; throws decode_error on a
-// malformed stream. `max_output` bounds the produced bytes: a corrupt match
-// length must not be able to balloon the output (the container passes each
-// chunk's declared raw size; the default is effectively unbounded for
-// trusted in-process streams like the dedup pipeline's).
+// Decompresses a stream produced by lz_compress into `out`, producing at
+// most out.size() bytes, and returns how many it produced. Throws
+// decode_error on a malformed stream, and when an op would pass the end of
+// `out`: a corrupt match length cannot balloon the output (the container
+// passes buffers sized from each chunk's declared raw size). Literal runs
+// are copied whole, and a match eight bytes at a time when its distance is
+// at least eight.
+std::size_t lz_decompress(std::span<const std::uint8_t> in,
+                          std::span<std::uint8_t> out);
+
+// The same, into a vector of exactly the decoded size, for in-process
+// streams and tests. `max_output` bounds the produced bytes as out.size()
+// does above; the stream is walked once to size the vector, with the same
+// checks in the same order, so it fails exactly as decoding would.
 std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> in,
                                         std::size_t max_output = SIZE_MAX);
 

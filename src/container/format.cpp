@@ -1,5 +1,6 @@
 #include "container/format.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <string>
@@ -164,6 +165,12 @@ container_info parse_footer(const std::vector<std::uint8_t>& footer,
               std::to_string(i) + ")");
     }
     covered += c.raw_size;
+    if (c.raw_size > kMaxChunkSize || c.stored_size > kMaxChunkSize) {
+      corrupt("chunk " + std::to_string(i) + " declares " +
+              std::to_string(std::max(c.raw_size, c.stored_size)) +
+              " bytes, more than the " + std::to_string(kMaxChunkSize) +
+              "-byte chunk limit");
+    }
     info.chunks.push_back(c);
   }
   if (pos != footer.size()) corrupt("footer carries trailing bytes");

@@ -60,6 +60,12 @@ inline constexpr char kTrailerMagic[4] = {'Z', 'E', 'N', 'D'};
 inline constexpr std::uint32_t kContainerVersion = 2;
 inline constexpr std::uint32_t kMinContainerVersion = 1;
 inline constexpr std::size_t kTrailerSize = 12;  // u64 offset + 4-byte magic
+// Largest chunk, raw or stored, a container may hold: four times the
+// chunker's default 16 KiB maximum. The reader rejects a footer that
+// declares a larger chunk before it allocates anything for it, and
+// container_writer refuses chunk_params that could cut one, so whatever a
+// writer produces a reader accepts.
+inline constexpr std::uint64_t kMaxChunkSize = 64 << 10;
 
 enum class chunk_encoding : std::uint8_t { raw = 0, lz = 1 };
 
@@ -112,7 +118,8 @@ void encode_footer(std::vector<std::uint8_t>& out, const container_info& info);
 // Parses and validates a footer blob (as delimited by the trailer) laid out
 // per `container_version` — v1 entries lack first_offset. Throws
 // trace::trace_error naming the defect: bad footer magic, truncated table,
-// or a chunk whose stored bytes land outside [header_end, footer_offset).
+// a chunk whose stored bytes land outside [header_end, footer_offset), or
+// one larger than kMaxChunkSize.
 container_info parse_footer(const std::vector<std::uint8_t>& footer,
                             std::uint64_t footer_offset,
                             std::uint32_t container_version = kContainerVersion);

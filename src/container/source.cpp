@@ -1,5 +1,7 @@
 #include "container/source.hpp"
 
+#include <algorithm>
+#include <istream>
 #include <ostream>
 #include <string>
 
@@ -10,80 +12,65 @@ namespace frd::container {
 
 using trace::trace_error;
 
-std::vector<char> load_chunk(std::istream& file, const chunk_entry& entry,
-                             std::size_t index) {
+chunk_buffers::chunk_buffers(const container_info& info) {
+  std::uint64_t stored_max = 0, raw_max = 0;
+  for (const chunk_entry& c : info.chunks) {
+    raw_max = std::max(raw_max, c.raw_size);
+    if (c.encoding == chunk_encoding::lz) {
+      stored_max = std::max(stored_max, c.stored_size);
+    }
+  }
+  stored.resize(static_cast<std::size_t>(stored_max));
+  raw.resize(static_cast<std::size_t>(raw_max));
+}
+
+std::span<const std::uint8_t> load_chunk(std::istream& file,
+                                         const chunk_entry& entry,
+                                         std::size_t index,
+                                         chunk_buffers& buf) {
+  const bool lz = entry.encoding == chunk_encoding::lz;
+  const auto stored_size = static_cast<std::size_t>(entry.stored_size);
+  const auto raw_size = static_cast<std::size_t>(entry.raw_size);
+  const auto mismatch = [&](std::uint64_t got) {
+    return trace_error("corrupt trace container: chunk " +
+                       std::to_string(index) + " decompresses to " +
+                       std::to_string(got) + " bytes, footer says " +
+                       std::to_string(entry.raw_size));
+  };
+  // A raw chunk is stored as is, so it is read straight into the raw buffer.
+  if (!lz && stored_size != raw_size) throw mismatch(entry.stored_size);
+  std::vector<std::uint8_t>& into = lz ? buf.stored : buf.raw;
+  // Buffers sized from this entry's own footer never grow here.
+  if (into.size() < stored_size) into.resize(stored_size);
+  if (buf.raw.size() < raw_size) buf.raw.resize(raw_size);
+  std::uint8_t* const stored = into.data();
   file.clear();
   file.seekg(static_cast<std::streamoff>(entry.offset), std::ios::beg);
-  std::vector<std::uint8_t> stored(
-      static_cast<std::size_t>(entry.stored_size));
-  file.read(reinterpret_cast<char*>(stored.data()),
-            static_cast<std::streamsize>(stored.size()));
-  if (file.gcount() != static_cast<std::streamsize>(stored.size())) {
+  file.read(reinterpret_cast<char*>(stored),
+            static_cast<std::streamsize>(stored_size));
+  if (file.gcount() != static_cast<std::streamsize>(stored_size)) {
     throw trace_error("corrupt trace container: chunk " +
                       std::to_string(index) + " read cut short");
   }
 
-  std::vector<std::uint8_t> raw;
-  if (entry.encoding == chunk_encoding::lz) {
+  if (lz) {
+    std::size_t got = 0;
     try {
-      raw = compress::lz_decompress(
-          stored, static_cast<std::size_t>(entry.raw_size));
+      got = compress::lz_decompress({stored, stored_size},
+                                    {buf.raw.data(), raw_size});
     } catch (const compress::decode_error& e) {
       throw trace_error("corrupt trace container: chunk " +
                         std::to_string(index) + " fails to decompress (" +
                         e.what() + ")");
     }
-  } else {
-    raw = std::move(stored);
+    if (got != raw_size) throw mismatch(got);
   }
-  if (raw.size() != entry.raw_size) {
-    throw trace_error("corrupt trace container: chunk " +
-                      std::to_string(index) + " decompresses to " +
-                      std::to_string(raw.size()) + " bytes, footer says " +
-                      std::to_string(entry.raw_size));
-  }
+  const std::span<const std::uint8_t> raw(buf.raw.data(), raw_size);
   if (compress::sha1(raw) != entry.digest) {
     throw trace_error("corrupt trace container: chunk " +
                       std::to_string(index) + " digest mismatch");
   }
-  return std::vector<char>(raw.begin(), raw.end());
-}
-
-// ---------------------------------------------------- chunk_feed_streambuf --
-
-void container_source::chunk_feed_streambuf::load(std::size_t index) {
-  const chunk_entry& entry = info_.chunks[index];
-  chunk_ = load_chunk(file_, entry, index);
-  next_ = index + 1;
-  // stored + raw coexist inside load_chunk; charge both to the high-water
-  // mark even though the stored copy is gone by the time we return.
-  const std::uint64_t resident =
-      entry.encoding == chunk_encoding::lz
-          ? entry.stored_size + entry.raw_size
-          : entry.raw_size;
-  if (resident > max_resident_) max_resident_ = resident;
-}
-
-container_source::chunk_feed_streambuf::int_type
-container_source::chunk_feed_streambuf::underflow() {
-  if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-  if (next_ >= info_.chunks.size()) return traits_type::eof();
-  load(next_);
-  setg(chunk_.data(), chunk_.data(), chunk_.data() + chunk_.size());
-  return traits_type::to_int_type(*gptr());
-}
-
-void container_source::chunk_feed_streambuf::reposition(
-    std::size_t chunk_index, std::uint64_t intra_offset) {
-  load(chunk_index);
-  if (intra_offset >= chunk_.size()) {
-    throw trace_error("corrupt trace container: seek offset " +
-                      std::to_string(intra_offset) + " lands past chunk " +
-                      std::to_string(chunk_index) + "'s " +
-                      std::to_string(chunk_.size()) + " raw bytes");
-  }
-  setg(chunk_.data(), chunk_.data() + intra_offset,
-       chunk_.data() + chunk_.size());
+  return raw;
 }
 
 // -------------------------------------------------------- container_source --
@@ -91,23 +78,24 @@ void container_source::chunk_feed_streambuf::reposition(
 container_source::container_source(std::istream& in)
     : file_(in),
       info_(read_container_info(in)),
-      buf_(file_, info_),
-      inner_stream_(&buf_) {
-  // An istream swallows exceptions thrown by its streambuf (it just sets
-  // badbit); with badbit in the exception mask it rethrows the original, so
-  // a chunk diagnosis from underflow() reaches the caller by name instead
-  // of surfacing as a confusing short-read error from the inner codec.
-  inner_stream_.exceptions(std::ios::badbit);
-  reader_ = std::make_unique<trace::trace_reader>(inner_stream_);
-  const trace::trace_header& h = reader_->header();
-  if (h.version != info_.inner_version || h.granule != info_.granule) {
+      buf_(info_),
+      decoder_(*this) {
+  header_ = decoder_.read_header();
+  if (header_.version != info_.inner_version ||
+      header_.granule != info_.granule) {
     throw trace_error(
         "corrupt trace container: footer declares version " +
         std::to_string(info_.inner_version) + "/granule " +
         std::to_string(info_.granule) + " but the inner trace header says " +
-        std::to_string(h.version) + "/" + std::to_string(h.granule));
+        std::to_string(header_.version) + "/" +
+        std::to_string(header_.granule));
   }
-  header_ = h;
+}
+
+std::span<const std::uint8_t> container_source::next_block() {
+  if (next_chunk_ >= info_.chunks.size()) return {};
+  const std::size_t index = next_chunk_++;
+  return load_chunk(file_, info_.chunks[index], index, buf_);
 }
 
 void container_source::seek_to_event(std::uint64_t n) {
@@ -119,18 +107,29 @@ void container_source::seek_to_event(std::uint64_t n) {
   if (info_.seekable() && !info_.chunks.empty()) {
     // Largest chunk whose first STARTING event is <= n and in which an event
     // actually starts (first_offset < raw_size; start-free chunks only
-    // continue a spanning event). Chunk 0 always qualifies: it starts with
-    // event 0 right after the inner header bytes.
+    // continue a spanning event), or chunk 0 when no later chunk is.
     std::size_t lo = 0;
     for (std::size_t i = 1; i < info_.chunks.size(); ++i) {
       const chunk_entry& c = info_.chunks[i];
       if (c.first_event > n) break;
       if (c.first_offset < c.raw_size) lo = i;
     }
-    buf_.reposition(lo, info_.chunks[lo].first_offset);
-    inner_stream_.clear();  // a prior read may have parked eofbit
-    reader_ = std::make_unique<trace::trace_reader>(inner_stream_, header_);
-    events_ = info_.chunks[lo].first_event;
+    const chunk_entry& c = info_.chunks[lo];
+    if (c.first_offset == c.raw_size) {
+      // No event starts in chunk 0 or in any chunk that could hold event n,
+      // so the trace has none: decoding resumes after the header, at the
+      // end marker.
+      next_chunk_ = 0;
+      decoder_.restart({});
+      (void)decoder_.read_header();
+      events_ = 0;
+    } else {
+      const std::span<const std::uint8_t> chunk =
+          load_chunk(file_, c, lo, buf_);
+      next_chunk_ = lo + 1;
+      decoder_.restart(chunk.subspan(static_cast<std::size_t>(c.first_offset)));
+      events_ = c.first_event;
+    }
   } else if (n < events_) {
     throw trace_error(
         "cannot seek backwards in a version-1 trace container (no byte "
@@ -148,12 +147,8 @@ void container_source::seek_to_event(std::uint64_t n) {
   }
 }
 
-const trace::trace_header& container_source::header() const {
-  return reader_->header();
-}
-
 bool container_source::next(trace::trace_event& e) {
-  if (reader_->next(e)) {
+  if (decoder_.next(e)) {
     ++events_;
     return true;
   }
@@ -166,13 +161,23 @@ bool container_source::next(trace::trace_event& e) {
   return false;
 }
 
+std::span<const trace::trace_event> container_source::access_run(
+    std::size_t max) {
+  const std::span<const trace::trace_event> run = decoder_.access_run(max);
+  events_ += run.size();
+  return run;
+}
+
 // ------------------------------------------------------------------ unpack --
 
 container_info unpack(std::istream& in, std::ostream& out) {
   container_info info = read_container_info(in);
+  chunk_buffers buf(info);
   for (std::size_t i = 0; i < info.chunks.size(); ++i) {
-    const std::vector<char> raw = load_chunk(in, info.chunks[i], i);
-    out.write(raw.data(), static_cast<std::streamsize>(raw.size()));
+    const std::span<const std::uint8_t> raw =
+        load_chunk(in, info.chunks[i], i, buf);
+    out.write(reinterpret_cast<const char*>(raw.data()),
+              static_cast<std::streamsize>(raw.size()));
     if (!out) {
       throw trace_error("trace container: write failed while unpacking chunk " +
                         std::to_string(i));

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <exception>
 #include <ostream>
+#include <string>
 
 #include "compress/digest.hpp"
 #include "detect/hooks.hpp"
@@ -10,6 +11,20 @@
 namespace frd::container {
 
 using trace::trace_error;
+
+namespace {
+
+// A chunk the reader would refuse must not be written in the first place.
+const compress::chunk_params& checked(const compress::chunk_params& params) {
+  if (params.max_size > kMaxChunkSize) {
+    throw trace_error("trace container: chunk max_size " +
+                      std::to_string(params.max_size) + " exceeds the " +
+                      std::to_string(kMaxChunkSize) + "-byte chunk limit");
+  }
+  return params;
+}
+
+}  // namespace
 
 // ---------------------------------------------------- chunking_streambuf --
 
@@ -95,7 +110,7 @@ void container_writer::chunking_streambuf::flush_open_chunk() {
 container_writer::container_writer(std::ostream& out, trace::trace_header h,
                                    compress::chunk_params params)
     : out_(out),
-      buf_(*this, params),
+      buf_(*this, checked(params)),
       inner_stream_(&buf_),
       ctor_exceptions_(std::uncaught_exceptions()) {
   out_.write(kMagic, sizeof(kMagic));

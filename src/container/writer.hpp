@@ -30,6 +30,7 @@ namespace frd::container {
 
 class container_writer final : public trace::trace_sink {
  public:
+  // Throws trace::trace_error when params.max_size exceeds kMaxChunkSize.
   explicit container_writer(std::ostream& out, trace::trace_header h = {},
                             compress::chunk_params params = {});
   ~container_writer() override;

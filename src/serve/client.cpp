@@ -75,18 +75,21 @@ submit_result client::submit(std::span<const std::uint8_t> trace_bytes,
   open.backend = opt.backend;
   open.store = opt.store;
   open.budget = opt.budget;
-  io_.write_frame(frame_type::stream_open, encode(open));
+  // The whole stream goes out in one write; payloads too large to copy are
+  // sent from trace_bytes in place.
+  frame_batch out;
+  out.add(frame_type::stream_open, encode(open));
   for (std::size_t off = 0; off < trace_bytes.size();) {
     const std::size_t n = std::min(max_data_chunk_ - 16, trace_bytes.size() - off);
-    io_.write_frame(frame_type::trace_data,
-                    encode_trace_data(id, trace_bytes.subspan(off, n)));
+    out.add_trace_data(id, trace_bytes.subspan(off, n));
     off += n;
   }
   if (trace_bytes.empty()) {
     // An empty trace is still a stream: open + close, zero data frames.
-    io_.write_frame(frame_type::trace_data, encode_trace_data(id, {}));
+    out.add_trace_data(id, {});
   }
-  io_.write_frame(frame_type::stream_close, encode_stream_close(id));
+  out.add(frame_type::stream_close, encode_stream_close(id));
+  io_.write_frames(out);
 
   submit_result r;
   frame f;

@@ -1,9 +1,13 @@
 #include "serve/protocol.hpp"
 
-#include <cerrno>
-#include <cstring>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstring>
 
 #include "compress/lz.hpp"  // put_varint / get_varint
 
@@ -266,31 +270,103 @@ std::size_t read_full(int fd, void* buf, std::size_t n) {
   return got;
 }
 
-void write_full(int fd, const void* buf, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
+// Sends everything the `count` iovecs hold, resuming after partial writes
+// (the iovecs are consumed).
+void send_all(int fd, iovec* iov, std::size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = std::min<std::size_t>(count, IOV_MAX);
     // MSG_NOSIGNAL: a vanished peer must surface as EPIPE here, not kill the
     // daemon with SIGPIPE mid-way through another stream's replay.
-    const ssize_t r = ::send(fd, static_cast<const char*>(buf) + sent,
-                             n - sent, MSG_NOSIGNAL);
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (r < 0) {
       if (errno == EINTR) continue;
       throw io_error(std::string("socket write failed: ") +
                      std::strerror(errno));
     }
-    sent += static_cast<std::size_t>(r);
+    auto sent = static_cast<std::size_t>(r);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
+}
+
+constexpr std::size_t kHeaderBytes = 5;  // u32 length + type byte
+
+void put_header(std::uint8_t* head, frame_type t, std::size_t payload_bytes) {
+  const auto len = static_cast<std::uint32_t>(payload_bytes + 1);
+  for (int i = 0; i < 4; ++i)
+    head[i] = static_cast<std::uint8_t>(len >> (8 * i));
+  head[4] = static_cast<std::uint8_t>(t);
+}
+
+iovec iov_of(const void* data, std::size_t n) {
+  return iovec{const_cast<void*>(data), n};
 }
 
 }  // namespace
 
+void frame_batch::add_header(frame_type t, std::size_t payload_bytes) {
+  std::uint8_t head[kHeaderBytes];
+  put_header(head, t, payload_bytes);
+  inline_.insert(inline_.end(), head, head + kHeaderBytes);
+}
+
+void frame_batch::add(frame_type t, std::span<const std::uint8_t> payload) {
+  add_header(t, payload.size());
+  inline_.insert(inline_.end(), payload.begin(), payload.end());
+}
+
+void frame_batch::add_trace_data(std::uint64_t stream_id,
+                                 std::span<const std::uint8_t> bytes) {
+  std::vector<std::uint8_t> id;
+  compress::put_varint(id, stream_id);
+  add_header(frame_type::trace_data, id.size() + bytes.size());
+  inline_.insert(inline_.end(), id.begin(), id.end());
+  if (bytes.size() > kInlinePayload) {
+    external_.push_back(external{inline_.size(), bytes});
+  } else {
+    inline_.insert(inline_.end(), bytes.begin(), bytes.end());
+  }
+}
+
+void frame_batch::clear() {
+  inline_.clear();
+  external_.clear();
+}
+
+bool frame_io::fill(std::size_t n) {
+  if (rend_ - rpos_ >= n) return true;
+  if (rbuf_.empty()) rbuf_.resize(kReadBuffer);
+  std::memmove(rbuf_.data(), rbuf_.data() + rpos_, rend_ - rpos_);
+  rend_ -= rpos_;
+  rpos_ = 0;
+  while (rend_ < n) {
+    const ssize_t r = ::read(fd_, rbuf_.data() + rend_, rbuf_.size() - rend_);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      throw io_error(std::string("socket read failed: ") +
+                     std::strerror(errno));
+    }
+    if (r == 0) return false;  // EOF
+    rend_ += static_cast<std::size_t>(r);
+  }
+  return true;
+}
+
 bool frame_io::read_frame(frame& f) {
-  std::uint8_t len_bytes[4];
-  const std::size_t got = read_full(fd_, len_bytes, sizeof(len_bytes));
-  if (got == 0) return false;  // clean EOF between frames
-  if (got < sizeof(len_bytes)) {
+  if (!fill(4)) {
+    if (rend_ == rpos_) return false;  // clean EOF between frames
     throw io_error("connection closed mid-frame (truncated length prefix)");
   }
+  const std::uint8_t* len_bytes = rbuf_.data() + rpos_;
   std::uint32_t len = 0;
   for (int i = 3; i >= 0; --i) len = (len << 8) | len_bytes[i];
   if (len == 0) throw protocol_error("malformed frame: zero-length body");
@@ -299,31 +375,49 @@ bool frame_io::read_frame(frame& f) {
                          " bytes exceeds the " +
                          std::to_string(kMaxFrameBody) + "-byte limit");
   }
-  std::uint8_t type = 0;
-  if (read_full(fd_, &type, 1) != 1) {
+  if (!fill(kHeaderBytes)) {
     throw io_error("connection closed mid-frame (missing type byte)");
   }
+  const std::uint8_t type = rbuf_[rpos_ + 4];
   if (type < static_cast<std::uint8_t>(frame_type::hello) ||
       type > static_cast<std::uint8_t>(frame_type::shutdown_ok)) {
     throw protocol_error("malformed frame: unknown frame type " +
                          std::to_string(type));
   }
+  rpos_ += kHeaderBytes;
   f.type = static_cast<frame_type>(type);
   f.payload.resize(len - 1);
-  if (read_full(fd_, f.payload.data(), f.payload.size()) != f.payload.size()) {
+  const std::size_t have = std::min<std::size_t>(rend_ - rpos_, len - 1);
+  if (have != 0) std::memcpy(f.payload.data(), rbuf_.data() + rpos_, have);
+  rpos_ += have;
+  const std::size_t rest = f.payload.size() - have;
+  if (rest != 0 && read_full(fd_, f.payload.data() + have, rest) != rest) {
     throw io_error("connection closed mid-frame (truncated payload)");
   }
   return true;
 }
 
 void frame_io::write_frame(frame_type t, std::span<const std::uint8_t> payload) {
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size() + 1);
-  std::uint8_t head[5];
-  for (int i = 0; i < 4; ++i)
-    head[i] = static_cast<std::uint8_t>(len >> (8 * i));
-  head[4] = static_cast<std::uint8_t>(t);
-  write_full(fd_, head, sizeof(head));
-  if (!payload.empty()) write_full(fd_, payload.data(), payload.size());
+  std::uint8_t head[kHeaderBytes];
+  put_header(head, t, payload.size());
+  iovec iov[2] = {iov_of(head, sizeof(head)),
+                  iov_of(payload.data(), payload.size())};
+  send_all(fd_, iov, payload.empty() ? 1 : 2);
+}
+
+void frame_io::write_frames(const frame_batch& batch) {
+  std::vector<iovec> iov;
+  iov.reserve(2 * batch.external_.size() + 1);
+  std::size_t at = 0;
+  for (const frame_batch::external& x : batch.external_) {
+    iov.push_back(iov_of(batch.inline_.data() + at, x.at - at));
+    iov.push_back(iov_of(x.bytes.data(), x.bytes.size()));
+    at = x.at;
+  }
+  if (batch.inline_.size() > at) {
+    iov.push_back(iov_of(batch.inline_.data() + at, batch.inline_.size() - at));
+  }
+  send_all(fd_, iov.data(), iov.size());
 }
 
 }  // namespace frd::serve

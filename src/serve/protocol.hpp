@@ -171,24 +171,67 @@ error_msg decode_error_msg(std::span<const std::uint8_t> p);
 
 // --------------------------------------------------------- framed socket --
 
+// Frames gathered for one write (frame_io::write_frames), laid out on the
+// wire back to back. Headers and small payloads are copied in; a
+// trace_data payload larger than kInlinePayload is sent straight from the
+// caller's memory, which must stay valid and unchanged until the write.
+class frame_batch {
+ public:
+  static constexpr std::size_t kInlinePayload = 64u << 10;
+
+  void add(frame_type t, std::span<const std::uint8_t> payload);
+  void add_trace_data(std::uint64_t stream_id,
+                      std::span<const std::uint8_t> bytes);
+  bool empty() const { return inline_.empty(); }
+  // Bytes copied into the batch (headers and inline payloads).
+  std::size_t inline_bytes() const { return inline_.size(); }
+  void clear();
+
+ private:
+  friend class frame_io;
+  void add_header(frame_type t, std::size_t payload_bytes);
+
+  std::vector<std::uint8_t> inline_;
+  // A payload sent from the caller's memory after inline_[0, at).
+  struct external {
+    std::size_t at;
+    std::span<const std::uint8_t> bytes;
+  };
+  std::vector<external> external_;
+};
+
 // Blocking framed I/O over one socket fd. Reads and writes are separately
 // whole-frame atomic; the fd is NOT owned (the connection owner closes it).
 // Concurrent writers must serialize externally (the server holds a
 // per-connection write mutex) — reads have a single owner by construction.
+// Reads go through a buffer, so one read() call can deliver many frames;
+// the fd must therefore be read through one frame_io only.
 class frame_io {
  public:
+  static constexpr std::size_t kReadBuffer = 64u << 10;
+
   explicit frame_io(int fd) : fd_(fd) {}
 
   // False on clean EOF at a frame boundary. Throws io_error on a connection
   // failure or EOF mid-frame, protocol_error on an oversized/undersized
-  // length prefix or unknown frame type.
+  // length prefix or unknown frame type. A payload that the buffer does not
+  // hold whole is read straight into f.payload.
   bool read_frame(frame& f);
-  // Throws io_error when the peer is gone (EPIPE/ECONNRESET — writes use
-  // MSG_NOSIGNAL, so a dead peer is an exception, never a SIGPIPE).
+  // Each write is one sendmsg() loop. Throws io_error when the peer is gone
+  // (EPIPE/ECONNRESET — writes use MSG_NOSIGNAL, so a dead peer is an
+  // exception, never a SIGPIPE).
   void write_frame(frame_type t, std::span<const std::uint8_t> payload);
+  void write_frames(const frame_batch& batch);
 
  private:
+  // Makes at least `n` bytes readable in the buffer; false when the peer
+  // closes first.
+  bool fill(std::size_t n);
+
   int fd_;
+  std::vector<std::uint8_t> rbuf_;
+  std::size_t rpos_ = 0;  // first unread byte
+  std::size_t rend_ = 0;  // end of the bytes read
 };
 
 }  // namespace frd::serve

@@ -19,6 +19,10 @@ namespace frd::serve {
 
 namespace {
 
+// A worker sends the race frames it has collected once this many bytes of
+// them wait, even between checkpoints.
+constexpr std::size_t kFrameBatchBytes = 64u << 10;
+
 // Budget overruns abort the replay from inside a checkpoint callback; this
 // private type keeps them distinguishable from every other failure on the
 // way to the one catch block that maps exceptions to error codes.
@@ -204,10 +208,16 @@ void server::accept_loop() {
 
 void server::send_frame(connection& c, frame_type t,
                         std::span<const std::uint8_t> payload) {
+  frame_batch one;
+  one.add(t, payload);
+  send_frames(c, one);
+}
+
+void server::send_frames(connection& c, const frame_batch& batch) {
   if (c.dead.load()) throw io_error("connection already closed");
   std::lock_guard<std::mutex> lk(c.write_mu);
   try {
-    c.io.write_frame(t, payload);
+    c.io.write_frames(batch);
   } catch (const io_error&) {
     c.dead.store(true);
     throw;
@@ -215,7 +225,8 @@ void server::send_frame(connection& c, frame_type t,
 }
 
 void server::send_error(connection& c, std::uint64_t stream_id,
-                        error_code code, const std::string& message) {
+                        error_code code, const std::string& message,
+                        frame_batch pending) {
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.streams_failed;
@@ -224,7 +235,8 @@ void server::send_error(connection& c, std::uint64_t stream_id,
   m.stream_id = stream_id;
   m.code = code;
   m.message = message;
-  send_frame(c, frame_type::error, encode(m));
+  pending.add(frame_type::error, encode(m));
+  send_frames(c, pending);
 }
 
 // ----------------------------------------------------- connection reader --
@@ -233,7 +245,8 @@ void server::connection_loop(conn_ptr conn) {
   struct open_stream {
     std::string backend;
     std::uint64_t budget = 0;
-    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint8_t> bytes;  // trace bytes from bytes[skip] on
+    std::size_t skip = 0;
   };
   std::unordered_map<std::uint64_t, open_stream> open;
   // Streams already failed on this connection: later frames for them are
@@ -326,10 +339,17 @@ void server::connection_loop(conn_ptr conn) {
             break;  // tombstoned: drain silently, the error already went out
           }
           open_stream& st = it->second;
-          st.bytes.insert(st.bytes.end(), bytes.begin(), bytes.end());
-          if (st.budget != 0 && st.bytes.size() > st.budget) {
+          if (st.bytes.empty()) {
+            // The first payload becomes the stream's buffer as it is.
+            st.skip = f.payload.size() - bytes.size();
+            st.bytes = std::move(f.payload);
+          } else {
+            st.bytes.insert(st.bytes.end(), bytes.begin(), bytes.end());
+          }
+          const std::size_t buffered = st.bytes.size() - st.skip;
+          if (st.budget != 0 && buffered > st.budget) {
             fail_stream(id, error_code::budget_exceeded,
-                        "buffered " + std::to_string(st.bytes.size()) +
+                        "buffered " + std::to_string(buffered) +
                             " trace bytes against a " +
                             std::to_string(st.budget) + "-byte budget");
           }
@@ -358,6 +378,7 @@ void server::connection_loop(conn_ptr conn) {
           j.backend = std::move(it->second.backend);
           j.budget = it->second.budget;
           j.bytes = std::move(it->second.bytes);
+          j.skip = it->second.skip;
           open.erase(it);
           {
             std::lock_guard<std::mutex> lk(queue_mu_);
@@ -431,8 +452,24 @@ void server::worker_loop() {
       queue_.pop_front();
     }
 
+    // Frames for this stream's client, sent in one write at each budget
+    // checkpoint, whenever kFrameBatchBytes of them wait, and together with
+    // the stream's last frame — stream_done or its error.
+    frame_batch out;
+    const auto flush = [this, &j, &out] {
+      if (out.empty()) return;
+      send_frames(*j.conn, out);
+      out.clear();
+    };
+    const auto fail = [this, &j, &out](error_code code, const char* message) {
+      try {
+        send_error(*j.conn, j.stream_id, code, message, std::move(out));
+      } catch (const io_error&) {
+      }
+    };
+
     try {
-      imemstream in(j.bytes);
+      imemstream in(j.trace());
       auto src = trace::open_source(in);
       const std::uint32_t granule = src->header().granule;
 
@@ -453,7 +490,7 @@ void server::worker_loop() {
       }
       session& s = *cache.s;
 
-      s.set_race_sink([this, &j](const detect::race& r) {
+      s.set_race_sink([&j, &out, &flush](const detect::race& r) {
         race_msg m;
         m.stream_id = j.stream_id;
         m.granule_addr = r.granule_addr;
@@ -461,7 +498,8 @@ void server::worker_loop() {
         m.prior_is_write = r.prior_kind == detect::access_kind::write;
         m.current = r.current;
         m.current_is_write = r.current_kind == detect::access_kind::write;
-        send_frame(*j.conn, frame_type::race, encode(m));
+        out.add(frame_type::race, encode(m));
+        if (out.inline_bytes() >= kFrameBatchBytes) flush();
       });
 
       const auto check_budget = [&j, &s] {
@@ -469,7 +507,7 @@ void server::worker_loop() {
         // Charge the run's PEAK footprint, not the instantaneous snapshot:
         // a spike between checkpoints must not escape the grant.
         const std::uint64_t used =
-            s.memory_stats().peak_total_bytes + j.bytes.size();
+            s.memory_stats().peak_total_bytes + j.trace().size();
         if (used > j.budget) {
           throw budget_exceeded_error(
               "detector state peaked at " + std::to_string(used) +
@@ -481,11 +519,13 @@ void server::worker_loop() {
 
       session::replay_checkpoint cp;
       cp.every_events = opt_.checkpoint_events;
-      cp.fn = [this, &j, &check_budget](std::uint64_t, std::uint64_t) {
+      cp.fn = [this, &j, &check_budget, &flush](std::uint64_t,
+                                                std::uint64_t) {
         if (j.conn->dead.load() || stopping_.load()) {
           throw client_gone_error("client disconnected mid-replay");
         }
         check_budget();
+        flush();
       };
 
       const std::uint64_t events = s.replay(*src, cp);
@@ -509,7 +549,8 @@ void server::worker_loop() {
       d.report_retained = mem.report_retained;
       d.report_capacity = mem.report_capacity;
       d.query_cache_bytes = mem.query_cache_bytes;
-      send_frame(*j.conn, frame_type::stream_done, encode(d));
+      out.add(frame_type::stream_done, encode(d));
+      flush();
       {
         std::lock_guard<std::mutex> lk(stats_mu_);
         ++stats_.streams_completed;
@@ -522,30 +563,15 @@ void server::worker_loop() {
       std::lock_guard<std::mutex> lk(stats_mu_);
       ++stats_.streams_failed;
     } catch (const budget_exceeded_error& e) {
-      try {
-        send_error(*j.conn, j.stream_id, error_code::budget_exceeded, e.what());
-      } catch (const io_error&) {
-      }
+      fail(error_code::budget_exceeded, e.what());
     } catch (const trace::trace_error& e) {
-      try {
-        send_error(*j.conn, j.stream_id, error_code::bad_trace, e.what());
-      } catch (const io_error&) {
-      }
+      fail(error_code::bad_trace, e.what());
     } catch (const detect::backend_error& e) {  // includes capability_error
-      try {
-        send_error(*j.conn, j.stream_id, error_code::backend_error, e.what());
-      } catch (const io_error&) {
-      }
+      fail(error_code::backend_error, e.what());
     } catch (const shadow::store_error& e) {
-      try {
-        send_error(*j.conn, j.stream_id, error_code::backend_error, e.what());
-      } catch (const io_error&) {
-      }
+      fail(error_code::backend_error, e.what());
     } catch (const std::exception& e) {
-      try {
-        send_error(*j.conn, j.stream_id, error_code::internal, e.what());
-      } catch (const io_error&) {
-      }
+      fail(error_code::internal, e.what());
     }
 
     // Whatever happened, the session must be pristine before the next

@@ -8,9 +8,11 @@
 //                       stream to the worker pool. A connection is cheap —
 //                       it never replays anything itself.
 //   worker threads      (a fixed pool) pop completed streams and replay them
-//                       through a worker-owned frd::session, streaming race
-//                       frames in encounter order as the detector finds
-//                       them, then a stream_done summary. Workers RECYCLE
+//                       through a worker-owned frd::session, sending race
+//                       frames in encounter order in one write per budget
+//                       checkpoint (and whenever kFrameBatchBytes of them
+//                       collect), then the rest of them together with the
+//                       stream_done summary or the error. Workers RECYCLE
 //                       their session via session::reset() when the next
 //                       stream asks for the same (backend, granule) —
 //                       the pool never re-resolves registries or reallocates
@@ -38,6 +40,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,13 +118,19 @@ class server {
   };
   using conn_ptr = std::shared_ptr<connection>;
 
-  // One closed stream, ready to replay.
+  // One closed stream, ready to replay. The trace is bytes[skip, end): the
+  // stream's first trace_data payload is kept whole, with its stream-id
+  // prefix, instead of being copied out.
   struct job {
     conn_ptr conn;
     std::uint64_t stream_id = 0;
     std::string backend;
     std::uint64_t budget = 0;  // bytes; 0 = unlimited
     std::vector<std::uint8_t> bytes;
+    std::size_t skip = 0;
+    std::span<const std::uint8_t> trace() const {
+      return std::span<const std::uint8_t>(bytes).subspan(skip);
+    }
   };
 
   void accept_loop();
@@ -131,8 +140,11 @@ class server {
   // and rethrows io_error (the caller decides whether that ends a loop).
   void send_frame(connection& c, frame_type t,
                   std::span<const std::uint8_t> payload);
+  void send_frames(connection& c, const frame_batch& batch);
+  // Counts a failed stream and sends `pending`, frames owed to the client
+  // before the error, together with its error frame.
   void send_error(connection& c, std::uint64_t stream_id, error_code code,
-                  const std::string& message);
+                  const std::string& message, frame_batch pending = {});
 
   server_options opt_;
   // request_stop() may run on a connection thread, so it reads this under

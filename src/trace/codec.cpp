@@ -25,21 +25,40 @@ char* encode_varint(char* out, std::uint64_t v) {
   return out;
 }
 
-std::uint64_t read_varint(std::istream& in) {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    const int c = in.get();
-    if (c < 0) throw trace_error("truncated trace: varint cut off mid-field");
-    // The 10th byte holds only bit 63: anything above it (or a continuation
-    // bit there) would be silently shifted away — corrupt, not decodable.
-    if (shift == 63 && (c & 0xFE) != 0) {
-      throw trace_error("malformed trace: varint overflows 64 bits");
-    }
-    v |= static_cast<std::uint64_t>(c & 0x7F) << shift;
-    if ((c & 0x80) == 0) return v;
-  }
-  throw trace_error("malformed trace: varint longer than 64 bits");
+[[noreturn]] void varint_overflow() {
+  throw trace_error("malformed trace: varint overflows 64 bits");
 }
+
+// Decodes the varint at `p`, which must have at least 10 readable bytes
+// after it, and returns the byte past it. The 10th byte holds only bit 63:
+// anything above it (or a continuation bit there) would be silently
+// shifted away — corrupt, not decodable.
+inline const std::uint8_t* decode_varint(const std::uint8_t* p,
+                                         std::uint64_t& out) {
+  std::uint64_t c = *p++;
+  if (c < 0x80) {
+    out = c;
+    return p;
+  }
+  std::uint64_t v = c & 0x7F;
+  for (int shift = 7;; shift += 7) {
+    c = *p++;
+    if (shift == 63 && (c & 0xFE) != 0) varint_overflow();
+    v |= (c & 0x7F) << shift;
+    if (c < 0x80) {
+      out = v;
+      return p;
+    }
+  }
+}
+
+[[noreturn]] void unknown_kind(int kind_byte) {
+  throw trace_error("malformed trace: unknown event kind " +
+                    std::to_string(kind_byte));
+}
+
+constexpr int kRead = static_cast<int>(event_kind::read);
+constexpr int kWrite = static_cast<int>(event_kind::write);
 
 // Validation happens on the full decoded 64-bit values, BEFORE any narrowing
 // cast — a granule of 2^32 + 4 must be rejected, not silently read as 4.
@@ -127,47 +146,127 @@ void trace_writer::finish() {
   }
 }
 
-trace_reader::trace_reader(std::istream& in) : in_(in) {
-  char magic[4] = {};
-  in_.read(magic, sizeof(magic));
-  if (in_.gcount() != sizeof(magic) || magic[0] != kMagic[0] ||
-      magic[1] != kMagic[1] || magic[2] != kMagic[2] || magic[3] != kMagic[3]) {
-    throw trace_error("not a FutureRD trace: bad magic (expected \"FRDT\")");
+// ------------------------------------------------------------ span decoder --
+
+int span_decoder::get_byte() {
+  while (pos_ == end_) {
+    const std::span<const std::uint8_t> block = feed_.next_block();
+    if (block.empty()) return -1;
+    pos_ = block.data();
+    end_ = pos_ + block.size();
   }
-  const std::uint64_t version = read_varint(in_);
+  return *pos_++;
+}
+
+std::uint64_t span_decoder::get_varint() {
+  std::uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    const int c = get_byte();
+    if (c < 0) throw trace_error("truncated trace: varint cut off mid-field");
+    if (shift == 63 && (c & 0xFE) != 0) varint_overflow();
+    v |= static_cast<std::uint64_t>(c & 0x7F) << shift;
+    if ((c & 0x80) == 0) return v;
+  }
+  throw trace_error("malformed trace: varint longer than 64 bits");
+}
+
+trace_header span_decoder::read_header() {
+  for (const char m : kMagic) {
+    if (get_byte() != static_cast<unsigned char>(m)) {
+      throw trace_error("not a FutureRD trace: bad magic (expected \"FRDT\")");
+    }
+  }
+  const std::uint64_t version = get_varint();
   check_version(version);
-  const std::uint64_t granule = read_varint(in_);
+  const std::uint64_t granule = get_varint();
   check_granule(granule);
-  header_.version = static_cast<std::uint32_t>(version);
-  header_.granule = static_cast<std::uint32_t>(granule);
+  trace_header h;
+  h.version = static_cast<std::uint32_t>(version);
+  h.granule = static_cast<std::uint32_t>(granule);
+  return h;
 }
 
-trace_reader::trace_reader(std::istream& in, const trace_header& h)
-    : in_(in), header_(h) {
-  check_version(h.version);
-  check_granule(h.granule);
+void span_decoder::restart(std::span<const std::uint8_t> block) {
+  pos_ = block.data();
+  end_ = pos_ + block.size();
+  done_ = false;
 }
 
-bool trace_reader::next(trace_event& e) {
+bool span_decoder::next_across_blocks(trace_event& e) {
+  const int kind_byte = get_byte();
+  if (kind_byte < 0) throw trace_error("truncated trace: end marker missing");
+  if (kind_byte == kEndMarker) {
+    done_ = true;
+    return false;
+  }
+  if (kind_byte >= kEventKindCount) unknown_kind(kind_byte);
+  const auto kind = static_cast<event_kind>(kind_byte);
+  event_fields f;
+  f.n = field_count(kind);
+  for (int i = 0; i < f.n; ++i) f.v[i] = get_varint();
+  e = event_from(kind, f);
+  return true;
+}
+
+bool span_decoder::next(trace_event& e) {
   if (done_) return false;
-  const int kind_byte = in_.get();
-  if (kind_byte < 0) {
-    throw trace_error("truncated trace: end marker missing");
+  if (static_cast<std::size_t>(end_ - pos_) < kMaxEventBytes) {
+    return next_across_blocks(e);
+  }
+  const int kind_byte = *pos_++;
+  if (kind_byte == kRead || kind_byte == kWrite) {
+    e.kind = static_cast<event_kind>(kind_byte);
+    pos_ = decode_varint(pos_, e.access.addr);
+    return true;
   }
   if (kind_byte == kEndMarker) {
     done_ = true;
     return false;
   }
-  if (kind_byte >= kEventKindCount) {
-    throw trace_error("malformed trace: unknown event kind " +
-                      std::to_string(kind_byte));
-  }
+  if (kind_byte >= kEventKindCount) unknown_kind(kind_byte);
   const auto kind = static_cast<event_kind>(kind_byte);
   event_fields f;
   f.n = field_count(kind);
-  for (int i = 0; i < f.n; ++i) f.v[i] = read_varint(in_);
+  for (int i = 0; i < f.n; ++i) pos_ = decode_varint(pos_, f.v[i]);
   e = event_from(kind, f);
   return true;
+}
+
+std::span<const trace_event> span_decoder::access_run(std::size_t max) {
+  // Runs are decoded in place of the caller's next() calls, so their length
+  // only bounds the storage; the player's batches are 256 by default.
+  constexpr std::size_t kMaxRun = 1024;
+  if (max > kMaxRun) max = kMaxRun;
+  if (run_.size() < max) run_.resize(max);
+  trace_event* const out = run_.data();
+  // A read or write is the kind byte plus one varint: at most 11 bytes.
+  constexpr std::size_t kMaxAccessBytes = 11;
+  const std::uint8_t* p = pos_;
+  std::size_t n = 0;
+  if (!done_) {
+    while (n < max && static_cast<std::size_t>(end_ - p) >= kMaxAccessBytes) {
+      const int kind_byte = *p;
+      if (kind_byte != kRead && kind_byte != kWrite) break;
+      out[n].kind = static_cast<event_kind>(kind_byte);
+      p = decode_varint(p + 1, out[n].access.addr);
+      ++n;
+    }
+  }
+  pos_ = p;
+  return {out, n};
+}
+
+// ------------------------------------------------------------ trace_reader --
+
+trace_reader::trace_reader(std::istream& in)
+    : in_(in), block_(kBlockBytes), decoder_(*this) {
+  header_ = decoder_.read_header();
+}
+
+std::span<const std::uint8_t> trace_reader::next_block() {
+  in_.read(reinterpret_cast<char*>(block_.data()),
+           static_cast<std::streamsize>(block_.size()));
+  return {block_.data(), static_cast<std::size_t>(in_.gcount())};
 }
 
 // ------------------------------------------------------------------- jsonl --

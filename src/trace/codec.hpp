@@ -23,7 +23,9 @@
 #include <exception>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "trace/event.hpp"
 
@@ -59,24 +61,89 @@ class trace_writer final : public trace_sink {
   bool finished_ = false;
 };
 
-class trace_reader final : public trace_source {
+// The one FRDT event decoder: reads kind bytes and varints straight from
+// contiguous memory. Its feed hands it the byte stream a block at a time
+// (trace_reader: blocks read from an istream; container::container_source:
+// each verified chunk), and the decoder walks each block in place. An event
+// that starts in the last kMaxEventBytes of a block takes a byte-at-a-time
+// path that fetches the next block when this one runs out, so an event cut
+// by a block boundary decodes like any other. Every check of the format is
+// made here, with one message each: a missing end marker or a varint cut
+// off by the end of the stream, an unknown kind, a varint past 64 bits and
+// a field over 32 bits (event_from) all throw trace_error.
+class span_decoder {
  public:
-  // Reads and validates the header; throws trace_error on bad input.
-  explicit trace_reader(std::istream& in);
-  // Mid-stream resume: adopts `h` (validated by whoever decoded the real
-  // header) and decodes events from the stream's CURRENT position, which
-  // must be an event boundary. The container seek path uses this — the
-  // header bytes live at the front of chunk 0, but after a seek decoding
-  // resumes at an arbitrary chunk's first event.
-  trace_reader(std::istream& in, const trace_header& h);
+  // Supplies the byte stream.
+  class feed {
+   public:
+    // The next block of the stream, or an empty span at its end. A block
+    // stays valid until the next call.
+    virtual std::span<const std::uint8_t> next_block() = 0;
 
-  const trace_header& header() const override { return header_; }
-  bool next(trace_event& e) override;
+   protected:
+    ~feed() = default;
+  };
+
+  // Longest encoding of one event: the kind byte and six 10-byte varints.
+  static constexpr std::size_t kMaxEventBytes = 1 + 10 * kMaxEventFields;
+
+  // The decoder points into its feed's blocks, and its owner is usually
+  // the feed: neither may move.
+  explicit span_decoder(feed& f) : feed_(f) {}
+  span_decoder(const span_decoder&) = delete;
+  span_decoder& operator=(const span_decoder&) = delete;
+
+  // Reads and validates the magic and the header fields at the current
+  // position; throws trace_error on bad magic, version or granule.
+  trace_header read_header();
+  // Continues from `block`, whose first byte starts an event, as if the
+  // stream went on from there (the container's seek path).
+  void restart(std::span<const std::uint8_t> block);
+
+  // trace_source::next and access_run over the decoded stream. access_run
+  // decodes the run into storage of its own, valid until the next call, and
+  // stops early where a block ends; it returns an empty span at a dag
+  // event, at the end of the stream, and near a block end, where next()
+  // takes over.
+  bool next(trace_event& e);
+  std::span<const trace_event> access_run(std::size_t max);
 
  private:
+  // The next byte of the stream, fetching blocks as needed; -1 at its end.
+  int get_byte();
+  // The byte-at-a-time paths, for bytes that may cross a block end.
+  std::uint64_t get_varint();
+  bool next_across_blocks(trace_event& e);
+
+  feed& feed_;
+  const std::uint8_t* pos_ = nullptr;
+  const std::uint8_t* end_ = nullptr;
+  bool done_ = false;  // the end marker was read
+  std::vector<trace_event> run_;
+};
+
+// Decodes a binary trace from an istream, which it reads in blocks of
+// kBlockBytes: it may consume bytes past the trace's end marker.
+class trace_reader final : public trace_source, private span_decoder::feed {
+ public:
+  static constexpr std::size_t kBlockBytes = 16 << 10;
+
+  // Reads and validates the header; throws trace_error on bad input.
+  explicit trace_reader(std::istream& in);
+
+  const trace_header& header() const override { return header_; }
+  bool next(trace_event& e) override { return decoder_.next(e); }
+  std::span<const trace_event> access_run(std::size_t max) override {
+    return decoder_.access_run(max);
+  }
+
+ private:
+  std::span<const std::uint8_t> next_block() override;
+
   std::istream& in_;
+  std::vector<std::uint8_t> block_;
+  span_decoder decoder_;
   trace_header header_;
-  bool done_ = false;
 };
 
 // ------------------------------------------------------------------- jsonl --

@@ -183,12 +183,14 @@ class trace_source {
   virtual bool next(trace_event& e) = 0;
   // Bulk fast path for the replay hot loop: a view of the next run of
   // consecutive read/write events (at most `max` of them), with the cursor
-  // advanced past the returned span. Storage-backed sources override this
-  // so the player iterates access runs in place — no per-event virtual
-  // dispatch and no 48-byte copy, which is most of a replayed access's
-  // fixed cost. An empty span means the next event is a dag event, end of
-  // trace, or the source streams and cannot expose storage views (this
-  // default); the caller then falls back to next().
+  // advanced past the returned span; the view stays valid until the next
+  // call. memory_trace returns views of its storage, and the binary readers
+  // decode a run into storage of their own, so the player iterates access
+  // runs in place — no per-event virtual dispatch, which is most of a
+  // replayed access's fixed cost. An empty span means the next event is a
+  // dag event, end of trace, or an event the source cannot hand out as a
+  // run (this default returns empty always); the caller then falls back to
+  // next(). A source may end a run early.
   virtual std::span<const trace_event> access_run(std::size_t max) {
     (void)max;
     return {};

@@ -55,11 +55,13 @@ trace_player::stats trace_player::play(
     }
     filled = 0;
   };
-  // One batch element from one decoded access event (the scalar fallback
-  // for streaming sources). The armed granule-sampling prefilter drops a
-  // sampled-out access here, before it costs a batch slot and the sink's
-  // per-access scan; the tally goes back to the detector (note_prefiltered)
-  // so its counters match the in-protocol carve-out exactly.
+  // One batch element from one access event that came through next() (an
+  // access that access_run did not hand out, such as one a streaming
+  // source's block boundary cuts). The armed granule-sampling prefilter
+  // drops a sampled-out access here, before it costs a batch slot and the
+  // sink's per-access scan; the tally goes back to the detector
+  // (note_prefiltered) so its counters match the in-protocol carve-out
+  // exactly.
   const auto push_access = [&](const trace_event& ev) {
     const std::uintptr_t addr = checked_address(ev.access.addr);
     if (prefilter_.armed && !prefilter_.admits_granule(addr)) {
@@ -71,12 +73,14 @@ trace_player::stats trace_player::play(
   };
   trace_event e;
   for (;;) {
-    // Bulk fast path: whole access runs come back as storage views
+    // Bulk fast path: whole access runs come back as views
     // (trace_source::access_run), iterated in place — no per-event virtual
-    // dispatch, no event copy. Streaming sources return empty spans and
-    // every event takes the next() path below instead; checkpoints land at
-    // run boundaries (runs are at most batch_capacity_ long, well inside
-    // any useful cadence) and still never inside a flattened sync run.
+    // dispatch. memory_trace hands out its storage; the binary readers
+    // decode a run into storage of their own and end it early at a block
+    // boundary, where the next() path below takes one event. Checkpoints
+    // land at run boundaries (runs are at most batch_capacity_ long, well
+    // inside any useful cadence) and still never inside a flattened sync
+    // run.
     for (;;) {
       const std::span<const trace_event> run = src_.access_run(batch_capacity_);
       if (run.empty()) break;

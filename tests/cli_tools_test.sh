@@ -201,6 +201,14 @@ fi
 "$FRD_TRACE" run "$TMP/demo.frdt" --to 3 >"$TMP/out" 2>&1 ||
   fail "short prefix replay (--to 3)"
 grep -q '^window:' "$TMP/out" || fail "prefix replay must print the window"
+# The demo's events 4 and 5 are one access run, which the player takes as a
+# run from either reader: --to 5 must still end the window between them.
+for f in demo.frdt demo.frdtz; do
+  "$FRD_TRACE" run "$TMP/$f" --to 5 >"$TMP/out" 2>&1 ||
+    fail "prefix replay of $f (--to 5)"
+  grep -q '^window: *events \[0, 5)' "$TMP/out" ||
+    fail "--to 5 must end the window inside the access run of $f"
+done
 
 # --from > 0 degrades (explicitly) to the reachability-free conflict scan;
 # on a v2 container it seeks through the footer index first.

@@ -269,6 +269,156 @@ TEST(LzCompressor, ReuseMatchesFreshCallsUninstrumented) {
   expect_reuse_matches_fresh_calls<none>();
 }
 
+// The byte-at-a-time decoder lz_decompress was before it copied whole
+// literal runs and match words: one push_back per output byte. Kept as the
+// reference the decoder must match, output for output and message for
+// message.
+std::vector<std::uint8_t> reference_lz_decompress(
+    std::span<const std::uint8_t> in, std::size_t max_output) {
+  std::vector<std::uint8_t> out;
+  std::size_t pos = 0;
+  for (;;) {
+    if (pos >= in.size()) throw decode_error("truncated stream: end opcode missing");
+    const std::uint8_t op = in[pos++];
+    if (op == 0x00) return out;
+    if (op == 0x01) {
+      const std::uint64_t n = get_varint(in, pos);
+      if (n > in.size() - pos) throw decode_error("literal run past end of stream");
+      if (n > max_output - out.size()) {
+        throw decode_error("literal run overflows the declared output size");
+      }
+      out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(pos),
+                 in.begin() + static_cast<std::ptrdiff_t>(pos + n));
+      pos += n;
+      continue;
+    }
+    if (op != 0x02) throw decode_error("unknown opcode");
+    const std::uint64_t len = get_varint(in, pos);
+    const std::uint64_t dist = get_varint(in, pos);
+    if (dist == 0 || dist > out.size()) {
+      throw decode_error("match distance out of range");
+    }
+    if (len > max_output - out.size()) {
+      throw decode_error("match length overflows the declared output size");
+    }
+    std::size_t src = out.size() - dist;
+    for (std::uint64_t k = 0; k < len; ++k) out.push_back(out[src++]);
+  }
+}
+
+// A decoder's output, or the message it failed with.
+struct lz_outcome {
+  std::vector<std::uint8_t> out;
+  std::string error;
+  bool operator==(const lz_outcome&) const = default;
+};
+
+template <typename F>
+lz_outcome lz_outcome_of(F&& decode) {
+  try {
+    return {decode(), ""};
+  } catch (const decode_error& e) {
+    return {{}, e.what()};
+  }
+}
+
+// Every decoder entry point against the reference on `in` with `max`.
+void expect_lz_like_reference(std::span<const std::uint8_t> in, std::size_t max,
+                              const std::string& what) {
+  const lz_outcome want =
+      lz_outcome_of([&] { return reference_lz_decompress(in, max); });
+  EXPECT_EQ(lz_outcome_of([&] { return lz_decompress(in, max); }), want)
+      << what << " (vector)";
+  // Into a buffer of exactly `max` bytes, with guard bytes after it that
+  // must stay untouched.
+  std::vector<std::uint8_t> buf(max + 32, 0xA5);
+  const lz_outcome into = lz_outcome_of([&] {
+    const std::size_t n =
+        lz_decompress(in, std::span<std::uint8_t>(buf.data(), max));
+    return std::vector<std::uint8_t>(buf.begin(),
+                                     buf.begin() + static_cast<std::ptrdiff_t>(n));
+  });
+  EXPECT_EQ(into, want) << what << " (span)";
+  for (std::size_t k = max; k < buf.size(); ++k) {
+    ASSERT_EQ(buf[k], 0xA5) << what << ": wrote past the buffer at " << k;
+  }
+}
+
+// A seeded op stream: literal runs of 1-40 bytes and matches of length
+// 1-300, mostly at distances 1-16 (overlapping when shorter than the match),
+// some farther back.
+std::vector<std::uint8_t> seeded_lz_stream(std::uint64_t seed,
+                                           std::size_t& decoded) {
+  prng rng(seed);
+  std::vector<std::uint8_t> s;
+  decoded = 0;
+  for (int op = 0; op < 60; ++op) {
+    if (decoded == 0 || rng.chance(1, 4)) {
+      const std::uint64_t n = 1 + rng.below(40);
+      s.push_back(0x01);
+      put_varint(s, n);
+      for (std::uint64_t k = 0; k < n; ++k)
+        s.push_back(static_cast<std::uint8_t>(rng.next()));
+      decoded += n;
+    } else {
+      const std::uint64_t len = 1 + rng.below(300);
+      const std::uint64_t dist =
+          rng.chance(3, 4) ? 1 + rng.below(std::min<std::size_t>(16, decoded))
+                           : 1 + rng.below(decoded);
+      s.push_back(0x02);
+      put_varint(s, len);
+      put_varint(s, dist);
+      decoded += len;
+    }
+  }
+  s.push_back(0x00);
+  return s;
+}
+
+TEST(LzReference, SeededStreamsDecodeLikeTheReference) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::size_t decoded = 0;
+    const auto s = seeded_lz_stream(seed, decoded);
+    const std::string what = "seed " + std::to_string(seed);
+    // Every match distance and length class is exercised, and the declared
+    // size is met exactly, missed by one byte, and left with room.
+    expect_lz_like_reference(s, decoded, what + ", exact");
+    expect_lz_like_reference(s, decoded - 1, what + ", one short");
+    expect_lz_like_reference(s, decoded + 100, what + ", with room");
+    ASSERT_EQ(reference_lz_decompress(s, decoded).size(), decoded);
+  }
+}
+
+TEST(LzReference, DamagedStreamsFailLikeTheReference) {
+  prng rng(99);
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::size_t decoded = 0;
+    auto s = seeded_lz_stream(seed, decoded);
+    const std::string what = "seed " + std::to_string(seed);
+    // A cut, then a few flipped bytes, each against a bound with room.
+    expect_lz_like_reference(
+        std::span<const std::uint8_t>(s.data(), rng.below(s.size())),
+        decoded + 16, what + ", cut");
+    for (int flip = 0; flip < 4; ++flip) {
+      s[rng.below(s.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+      expect_lz_like_reference(s, decoded + 16,
+                               what + ", flip " + std::to_string(flip));
+    }
+  }
+}
+
+TEST(LzReference, CompressedInputsDecodeLikeTheReference) {
+  for (const auto& in : compressor_inputs()) {
+    const auto c = lz_compress<none>(in);
+    expect_lz_like_reference(c, in.size(), "size " + std::to_string(in.size()));
+    if (!in.empty()) {
+      expect_lz_like_reference(c, in.size() - 1,
+                               "size " + std::to_string(in.size()) + ", short");
+    }
+  }
+}
+
+
 TEST(LzCompressor, ReuseMatchesFreshCallsInstrumented) {
   expect_reuse_matches_fresh_calls<detect::hooks::active>();
 }

@@ -6,8 +6,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <atomic>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <set>
 #include <span>
 #include <sstream>
@@ -25,10 +27,32 @@
 #include "support/prng.hpp"
 #include "trace/codec.hpp"
 #include "trace/event.hpp"
+#include "trace/player.hpp"
+#include "crafted_containers.hpp"
+#include "trace_reference.hpp"
 
 #ifndef FRD_CORPUS_DIR
 #define FRD_CORPUS_DIR "corpus"
 #endif
+
+// The largest single allocation made while `g_track_allocations` is set:
+// the oversized-chunk test holds the reader to its chunk bound with it.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_allocation.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace frd::container {
 namespace {
@@ -407,6 +431,24 @@ TEST(ContainerSeek, BackwardSeekAfterEofRewinds) {
   EXPECT_THROW(src.seek_to_event(first_pass + 1), trace::trace_error);
 }
 
+// A trace without events has no chunk in which an event starts; seeking
+// to its end must land on the end marker, not fail as corrupt.
+TEST(ContainerSeek, EmptyTraceSeeksToItsEnd) {
+  std::ostringstream out(std::ios::binary);
+  {
+    container_writer cw(out, trace::trace_header{trace::kTraceVersion, 4});
+    cw.finish();
+  }
+  std::istringstream in(out.str(), std::ios::binary);
+  container_source src(in);
+  trace::trace_event e;
+  for (int round = 0; round < 2; ++round) {
+    src.seek_to_event(0);
+    EXPECT_FALSE(src.next(e)) << "round " << round;
+  }
+  EXPECT_THROW(src.seek_to_event(1), trace::trace_error);
+}
+
 // A genuine version-1 container (no per-chunk offsets in the footer) still
 // decodes linearly and seeks forward — but a backward seek must refuse with
 // advice to repack, not silently rescan garbage.
@@ -543,6 +585,17 @@ TEST(ContainerErrors, DigestMismatch) {
   expect_throws_naming(packed, "digest mismatch");
 }
 
+TEST(ContainerErrors, RawChunkStoredSizeSkew) {
+  // A raw chunk is its stored bytes: one more stored byte than raw bytes is
+  // a size mismatch, even when the raw prefix hashes right.
+  const std::string packed = pack_bytes(random_flat_trace(4000));
+  container_info ci = info_of(packed);
+  ASSERT_GE(ci.chunks.size(), 2u);
+  ASSERT_EQ(ci.chunks[0].encoding, chunk_encoding::raw);
+  ci.chunks[0].stored_size += 1;
+  expect_throws_naming(with_footer(packed, ci), "chunk 0 decompresses to");
+}
+
 TEST(ContainerErrors, CorruptCompressedChunk) {
   // An lz-encoded chunk whose bytes are damaged fails to decompress (or
   // decompresses to the wrong size/digest) — named either way.
@@ -581,6 +634,281 @@ TEST(ContainerErrors, RawSizeSkew) {
   container_info ci = info_of(packed);
   ci.raw_size += 3;
   expect_throws_naming(with_footer(packed, ci), "chunk raw sizes cover");
+}
+
+TEST(ContainerErrors, OversizedChunkFailsBeforeAnythingIsAllocatedForIt) {
+  const std::string bad = testing::oversized_chunk_container();
+  EXPECT_EQ(bad.size(), 68u);
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  std::string message;
+  try {
+    std::istringstream in(bad, std::ios::binary);
+    container_source src(in);
+    trace::trace_event e;
+    while (src.next(e)) {
+    }
+  } catch (const trace::trace_error& ex) {
+    message = ex.what();
+  }
+  g_track_allocations = false;
+  EXPECT_NE(message.find("chunk 0 declares 67108864 bytes, more than the "
+                         "65536-byte chunk limit"),
+            std::string::npos)
+      << "got: " << message;
+  EXPECT_LT(g_largest_allocation.load(), std::size_t{kMaxChunkSize});
+  EXPECT_THROW((void)unpack_bytes(bad), trace::trace_error);
+  // At the limit the same stream is accepted as far as its digest.
+  expect_throws_naming(testing::oversized_chunk_container(kMaxChunkSize),
+                       "chunk 0 digest mismatch");
+}
+
+TEST(ContainerWriter, RefusesChunksTheReaderWouldReject) {
+  std::ostringstream out(std::ios::binary);
+  compress::chunk_params params;
+  params.max_size = kMaxChunkSize + 1;
+  EXPECT_THROW(container_writer(out, trace::trace_header{}, params),
+               trace::trace_error);
+  params.max_size = kMaxChunkSize;
+  params.target_size = kMaxChunkSize / 2;
+  container_writer at_limit(out, trace::trace_header{}, params);
+  EXPECT_GE(kMaxChunkSize, compress::chunk_params{}.max_size);
+}
+
+// --------------------------------------------- decoding in place vs the ref --
+
+// Pulls events the way trace_player does: out of access runs while the
+// source hands them out, through next() otherwise.
+class run_cursor {
+ public:
+  explicit run_cursor(trace::trace_source& src) : src_(src) {}
+  bool pull(trace::trace_event& e) {
+    if (at_ == run_.size()) {
+      run_ = src_.access_run(trace::trace_player::kDefaultBatchCapacity);
+      at_ = 0;
+      if (run_.empty()) return src_.next(e);
+    }
+    e = run_[at_++];
+    return true;
+  }
+
+ private:
+  trace::trace_source& src_;
+  std::span<const trace::trace_event> run_;
+  std::size_t at_ = 0;
+};
+
+// Every corpus trace, flat and unpacked from .frdtz, through trace_reader
+// and container_source, each by next() alone and by access runs, in
+// lockstep with the byte-at-a-time reference.
+TEST(ContainerCorpus, EveryTraceDecodesLikeTheReferenceByNextAndByRuns) {
+  const std::string dir = corpus_dir();
+  const corpus::manifest m = corpus::load_manifest(dir + "/MANIFEST");
+  for (const corpus::corpus_entry& entry : m.entries) {
+    SCOPED_TRACE(entry.name);
+    const std::string bytes = read_file(dir + "/" + entry.trace_file);
+    const bool packed_file = entry.trace_file.ends_with(".frdtz");
+    const std::string flat = packed_file ? unpack_bytes(bytes) : bytes;
+    const std::string packed = packed_file ? bytes : pack_bytes(flat);
+
+    std::istringstream ref_in(flat, std::ios::binary);
+    trace::testing::reference_trace_reader ref(ref_in);
+    std::istringstream in1(flat, std::ios::binary), in2(flat, std::ios::binary);
+    std::istringstream in3(packed, std::ios::binary),
+        in4(packed, std::ios::binary);
+    trace::trace_reader by_next(in1), by_runs(in2);
+    container_source cs_by_next(in3), cs_by_runs(in4);
+    run_cursor reader_runs(by_runs), container_runs(cs_by_runs);
+    const auto pulls = [&](trace::trace_event* got) {
+      return std::array<bool, 4>{by_next.next(got[0]), reader_runs.pull(got[1]),
+                                 cs_by_next.next(got[2]),
+                                 container_runs.pull(got[3])};
+    };
+    trace::trace_event want, got[4];
+    std::uint64_t n = 0;
+    bool same = true;
+    while (same && ref.next(want)) {
+      const auto more = pulls(got);
+      for (int k = 0; k < 4; ++k) {
+        if (!more[k] || got[k] != want) {
+          ADD_FAILURE() << "decoder " << k << " diverged at event " << n;
+          same = false;
+        }
+      }
+      ++n;
+    }
+    if (same) {
+      const auto more = pulls(got);
+      for (int k = 0; k < 4; ++k) EXPECT_FALSE(more[k]) << "decoder " << k;
+    }
+    EXPECT_EQ(n, info_of(packed).event_count);
+  }
+}
+
+// Events cut by chunk boundaries at every offset: tiny chunks put most
+// events across one, and some across several.
+TEST(ContainerSource, EventsAcrossChunkBoundariesMatchTheReference) {
+  for (const compress::chunk_params params :
+       {compress::chunk_params{}, compress::chunk_params{16, 32, 64},
+        compress::chunk_params{4, 8, 16}}) {
+    for (int pad = 0; pad < 40; pad += 3) {
+      const std::string flat = trace::testing::seeded_flat_trace(5, 3000, pad);
+      std::istringstream in(flat, std::ios::binary);
+      trace::trace_reader reader(in);
+      std::ostringstream out(std::ios::binary);
+      {
+        container_writer cw(out, reader.header(), params);
+        trace::trace_event e;
+        while (reader.next(e)) cw.put(e);
+        cw.finish();
+      }
+      const trace::testing::decode_outcome want =
+          trace::testing::reference_decode(flat);
+      ASSERT_EQ(want.error, "");
+      for (const bool runs : {false, true}) {
+        std::istringstream packed(out.str(), std::ios::binary);
+        container_source src(packed);
+        const trace::testing::decode_outcome got = trace::testing::drain(src, runs);
+        EXPECT_EQ(got.error, "");
+        EXPECT_TRUE(got.events == want.events)
+            << "max_size " << params.max_size << ", pad " << pad
+            << (runs ? ", runs" : "");
+      }
+    }
+  }
+}
+
+// ---------------------------------- streaming sources on the access_run path --
+
+// What one sampled replay produced, checkpoints included.
+struct replay_outcome {
+  std::set<std::uint64_t> racy;
+  std::uint64_t events = 0, accesses = 0, gets = 0, sampled = 0, skipped = 0;
+  std::uint64_t checkpoints = 0, last_checkpoint = 0;
+  bool operator==(const replay_outcome&) const = default;
+};
+
+replay_outcome sampled_replay(trace::trace_source& src, std::uint64_t every) {
+  session s(session::options{
+      .backend = "multibags+",
+      .granule = static_cast<std::size_t>(src.header().granule),
+      .sample_rate = 0.1});
+  replay_outcome r;
+  session::replay_checkpoint cp;
+  cp.every_events = every;
+  std::uint64_t previous = 0;
+  cp.fn = [&](std::uint64_t events, std::uint64_t) {
+    EXPECT_GT(events, previous);
+    previous = events;
+    ++r.checkpoints;
+  };
+  r.events = s.replay(src, cp);
+  for (const std::uintptr_t a : s.report().racy_granules()) r.racy.insert(a);
+  r.accesses = s.access_count();
+  r.gets = s.get_count();
+  r.sampled = s.query_stats().sampled;
+  r.skipped = s.query_stats().skipped;
+  EXPECT_EQ(r.sampled + r.skipped, r.accesses);
+  return r;
+}
+
+// The player's own tallies over a source, with the sampling prefilter of a
+// rate-0.1 session armed, and a digest of the accesses it let through.
+struct play_outcome {
+  std::uint64_t events = 0, accesses = 0, prefiltered = 0;
+  std::uint64_t admitted = 0, digest = 0;
+  bool operator==(const play_outcome&) const = default;
+};
+
+class access_digest final : public detect::hooks::access_sink {
+ public:
+  void on_read(const void*, std::size_t) override { ADD_FAILURE(); }
+  void on_write(const void*, std::size_t) override { ADD_FAILURE(); }
+  void on_accesses(std::span<const detect::hooks::access> batch,
+                   std::size_t) override {
+    for (const detect::hooks::access& a : batch) {
+      digest = (digest ^ a.addr ^ (std::uint64_t{a.is_write} << 63)) *
+               0x100000001b3ull;
+      ++count;
+    }
+  }
+  std::uint64_t digest = 14695981039346656037ull;
+  std::uint64_t count = 0;
+};
+
+play_outcome sampled_play(trace::trace_source& src) {
+  session s(session::options{
+      .backend = "multibags+",
+      .granule = static_cast<std::size_t>(src.header().granule),
+      .sample_rate = 0.1});
+  trace::trace_player player(src);
+  player.set_prefilter(s.detector().replay_prefilter());
+  access_digest sink;
+  const trace::trace_player::stats st = player.play(nullptr, &sink);
+  return {st.events, st.accesses, st.prefiltered, sink.count, sink.digest};
+}
+
+TEST(ContainerSource, StreamingReplaysEqualTheMemoryReplay) {
+  const std::string dir = corpus_dir();
+  for (const char* name :
+       {"fuzz-general.frdt", "wavefront-structured-large.frdtz"}) {
+    SCOPED_TRACE(name);
+    const std::string bytes = read_file(dir + "/" + name);
+    const bool packed_file = std::string(name).ends_with(".frdtz");
+    const std::string flat = packed_file ? unpack_bytes(bytes) : bytes;
+    const std::string packed = packed_file ? bytes : pack_bytes(flat);
+    trace::memory_trace tape = corpus::load_trace(dir + "/" + name);
+
+    for (const std::uint64_t every : {std::uint64_t{0}, std::uint64_t{1},
+                                      std::uint64_t{4096}}) {
+      SCOPED_TRACE("checkpoint every " + std::to_string(every));
+      tape.rewind();
+      const replay_outcome want = sampled_replay(tape, every);
+      EXPECT_GT(want.skipped, 0u);
+      if (every != 0 && want.events >= every) {
+        EXPECT_GT(want.checkpoints, 0u);
+      }
+      std::istringstream flat_in(flat, std::ios::binary);
+      trace::trace_reader reader(flat_in);
+      replay_outcome got = sampled_replay(reader, every);
+      // Checkpoints land at run boundaries, which a streaming source may
+      // place differently; everything the replay reports must agree.
+      got.checkpoints = want.checkpoints;
+      EXPECT_EQ(got, want) << "trace_reader";
+      std::istringstream packed_in(packed, std::ios::binary);
+      container_source cs(packed_in);
+      got = sampled_replay(cs, every);
+      got.checkpoints = want.checkpoints;
+      EXPECT_EQ(got, want) << "container_source";
+    }
+
+    // The player's prefiltered tally, over the whole trace and, for the
+    // container, after seeking back to the start and to the middle.
+    tape.rewind();
+    const play_outcome whole = sampled_play(tape);
+    EXPECT_GT(whole.prefiltered, 0u);
+    std::istringstream flat_in(flat, std::ios::binary);
+    trace::trace_reader reader(flat_in);
+    EXPECT_EQ(sampled_play(reader), whole) << "trace_reader";
+    std::istringstream packed_in(packed, std::ios::binary);
+    container_source cs(packed_in);
+    EXPECT_EQ(sampled_play(cs), whole) << "container_source";
+    cs.seek_to_event(0);
+    EXPECT_EQ(sampled_play(cs), whole) << "container_source, seek to 0";
+    cs.seek_to_event(0);
+    tape.rewind();
+    replay_outcome after_seek = sampled_replay(cs, 4096);
+    const replay_outcome from_tape = sampled_replay(tape, 4096);
+    after_seek.checkpoints = from_tape.checkpoints;
+    EXPECT_EQ(after_seek, from_tape) << "container_source, replay after seek";
+
+    const std::uint64_t mid = tape.size() / 2 + 3;
+    trace::memory_trace rest(tape.header());
+    for (std::size_t i = mid; i < tape.size(); ++i) rest.put(tape.events()[i]);
+    cs.seek_to_event(mid);
+    EXPECT_EQ(sampled_play(cs), sampled_play(rest))
+        << "container_source, seek to " << mid;
+  }
 }
 
 }  // namespace

@@ -27,6 +27,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,6 +41,8 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "crafted_containers.hpp"
+#include "trace/codec.hpp"
 
 namespace frd::serve {
 namespace {
@@ -217,6 +221,138 @@ TEST_F(FrameIoTest, RejectsUnknownFrameType) {
   frame_io b(fds_[1]);
   frame f;
   EXPECT_THROW(b.read_frame(f), protocol_error);
+}
+
+// Runs `write` on a thread of its own that a failing reader cannot strand:
+// on destruction it shuts the reading end down, which fails a write
+// blocked on a full socket, and joins. A write that throws is a test
+// failure, not a crash.
+class writer_thread {
+ public:
+  writer_thread(int read_fd, std::function<void()> write)
+      : read_fd_(read_fd), thread_([write = std::move(write)] {
+          try {
+            write();
+          } catch (const std::exception& e) {
+            ADD_FAILURE() << "writer: " << e.what();
+          }
+        }) {}
+  ~writer_thread() {
+    ::shutdown(read_fd_, SHUT_RDWR);
+    thread_.join();
+  }
+  writer_thread(const writer_thread&) = delete;
+  writer_thread& operator=(const writer_thread&) = delete;
+
+ private:
+  int read_fd_;
+  std::thread thread_;
+};
+
+// The wire bytes of `batch`, as one write_frames call lays them out: written
+// through a socketpair and read back raw.
+std::vector<std::uint8_t> wire_of(const frame_batch& batch, int fd_pair[2]) {
+  std::vector<std::uint8_t> out;
+  std::uint8_t buf[4096];
+  const std::size_t want = batch.inline_bytes();
+  {
+    writer_thread writer(fd_pair[1],
+                         [&] { frame_io(fd_pair[0]).write_frames(batch); });
+    while (out.size() < want) {
+      const ssize_t r = ::read(fd_pair[1], buf, sizeof(buf));
+      if (r <= 0) break;
+      out.insert(out.end(), buf, buf + r);
+    }
+  }
+  return out;
+}
+
+std::vector<frame> sample_frames() {
+  std::vector<frame> v;
+  v.push_back({frame_type::hello, encode(hello_msg{})});
+  race_msg r;
+  r.stream_id = 3;
+  r.granule_addr = 0x7f3a00001000;
+  r.prior = 70000;
+  r.current = 1;
+  r.current_is_write = 1;
+  v.push_back({frame_type::race, encode(r)});
+  std::vector<std::uint8_t> trace(100);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i] = static_cast<std::uint8_t>(i * 7);
+  v.push_back({frame_type::trace_data, encode_trace_data(3, trace)});
+  v.push_back({frame_type::stream_close, encode_stream_close(3)});
+  return v;
+}
+
+TEST_F(FrameIoTest, FrameSplitAtEveryByteBoundaryIsReassembled) {
+  const std::vector<frame> frames = sample_frames();
+  frame_batch batch;
+  for (const frame& f : frames) batch.add(f.type, f.payload);
+  const std::vector<std::uint8_t> wire = wire_of(batch, fds_);
+  ASSERT_EQ(wire.size(), batch.inline_bytes());
+  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    {
+      writer_thread writer(fds[1], [&] {
+        EXPECT_EQ(::send(fds[0], wire.data(), cut, 0),
+                  static_cast<ssize_t>(cut));
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+        const std::size_t rest = wire.size() - cut;
+        EXPECT_EQ(::send(fds[0], wire.data() + cut, rest, MSG_NOSIGNAL),
+                  static_cast<ssize_t>(rest));
+        ::shutdown(fds[0], SHUT_WR);
+      });
+      frame_io io(fds[1]);
+      frame f;
+      for (const frame& want : frames) {
+        if (!io.read_frame(f)) {
+          ADD_FAILURE() << "cut " << cut << ": frame missing";
+          break;
+        }
+        EXPECT_EQ(f.type, want.type) << "cut " << cut;
+        EXPECT_EQ(f.payload, want.payload) << "cut " << cut;
+      }
+      EXPECT_FALSE(io.read_frame(f)) << "cut " << cut;
+    }
+    ::close(fds[0]);
+    ::close(fds[1]);
+  }
+}
+
+TEST_F(FrameIoTest, ManyFramesInOneWriteAndOneRead) {
+  // Thousands of small frames and, among them, payloads larger than the
+  // read buffer and than the inline limit (sent from the caller's memory).
+  std::vector<frame> frames;
+  std::vector<std::vector<std::uint8_t>> big;
+  for (const std::size_t n : {std::size_t{200} << 10, frame_io::kReadBuffer,
+                              frame_batch::kInlinePayload + 1}) {
+    big.emplace_back(n);
+    for (std::size_t i = 0; i < n; ++i) big.back()[i] = static_cast<std::uint8_t>(i % 251);
+  }
+  frame_batch batch;
+  for (int i = 0; i < 3000; ++i) {
+    race_msg r;
+    r.stream_id = 1;
+    r.granule_addr = static_cast<std::uint64_t>(i) * 4;
+    frames.push_back({frame_type::race, encode(r)});
+    batch.add(frame_type::race, frames.back().payload);
+    if (i % 1000 == 500) {
+      const auto& bytes = big[static_cast<std::size_t>(i / 1000)];
+      frames.push_back({frame_type::trace_data, encode_trace_data(9, bytes)});
+      batch.add_trace_data(9, bytes);
+    }
+  }
+  writer_thread writer(fds_[1],
+                       [&] { frame_io(fds_[0]).write_frames(batch); });
+  frame_io io(fds_[1]);
+  frame f;
+  std::size_t i = 0;
+  while (i < frames.size() && io.read_frame(f) && f.type == frames[i].type &&
+         f.payload == frames[i].payload) {
+    ++i;
+  }
+  EXPECT_EQ(i, frames.size()) << "frame " << i << " is missing or differs";
 }
 
 // -------------------------------------------------------------- daemon --
@@ -552,6 +688,197 @@ TEST_F(ServeDaemonTest, ShutdownFrameStopsTheServer) {
   // The socket file is gone; new connections are refused.
   EXPECT_THROW(client{socket_}, io_error);
   srv_.reset();
+}
+
+// A raw connection past the handshake that sends one stream in `batch`
+// and collects every frame up to its stream_done or error; then it closes
+// its side, and nothing more may arrive.
+std::vector<frame> serve_raw(const std::string& socket,
+                             const frame_batch& batch) {
+  client cli(socket);
+  frame_io io(cli.native_handle());
+  io.write_frames(batch);
+  std::vector<frame> got;
+  frame f;
+  for (;;) {
+    EXPECT_TRUE(io.read_frame(f)) << "connection closed before the stream ended";
+    if (got.size() > 100000) ADD_FAILURE() << "runaway frames";
+    got.push_back(f);
+    if (f.type == frame_type::stream_done || f.type == frame_type::error) break;
+    if (f.type != frame_type::race) {
+      ADD_FAILURE() << "unexpected frame type " << static_cast<int>(f.type);
+      break;
+    }
+  }
+  ::shutdown(cli.native_handle(), SHUT_WR);
+  EXPECT_FALSE(io.read_frame(f)) << "a frame arrived after the stream ended";
+  return got;
+}
+
+frame_batch stream_of(std::uint64_t id, const std::vector<std::uint8_t>& bytes) {
+  frame_batch b;
+  b.add(frame_type::stream_open,
+        encode(stream_open_msg{.stream_id = id,
+                               .backend = "multibags+",
+                               .store = "hashed-page",
+                               .budget = 0}));
+  b.add_trace_data(id, bytes);
+  b.add(frame_type::stream_close, encode_stream_close(id));
+  return b;
+}
+
+// An in-process replay of `bytes` as a worker runs it: the races in
+// encounter order and, at each checkpoint, the detector's peak and how many
+// races had been found.
+struct in_process_run {
+  std::vector<detect::race> races;
+  std::vector<std::pair<std::uint64_t, std::size_t>> checkpoints;
+};
+
+in_process_run replay_in_process(const std::vector<std::uint8_t>& bytes,
+                                 std::uint64_t every) {
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  auto src = trace::open_source(in);
+  session s(session::options{.backend = "multibags+",
+                             .granule = src->header().granule});
+  in_process_run run;
+  s.set_race_sink([&run](const detect::race& r) { run.races.push_back(r); });
+  session::replay_checkpoint cp;
+  cp.every_events = every;
+  cp.fn = [&](std::uint64_t, std::uint64_t) {
+    run.checkpoints.emplace_back(s.memory_stats().peak_total_bytes,
+                                 run.races.size());
+  };
+  s.replay(*src, cp);
+  return run;
+}
+
+bool same_race(const race_msg& m, const detect::race& r) {
+  return m.granule_addr == r.granule_addr && m.prior == r.prior &&
+         m.current == r.current &&
+         (m.prior_is_write != 0) == (r.prior_kind == detect::access_kind::write) &&
+         (m.current_is_write != 0) ==
+             (r.current_kind == detect::access_kind::write);
+}
+
+// Workers send race frames in batches: every one still arrives, in
+// encounter order, before the stream's stream_done.
+TEST_F(ServeDaemonTest, RaceFramesArriveInEncounterOrderBeforeStreamDone) {
+  server_options opt;
+  opt.checkpoint_events = 4096;  // many checkpoints, so many batches
+  start(opt);
+  const std::vector<std::uint8_t> bytes =
+      read_file(corpus_dir() + "/tracking-structured-xl.frdtz");
+  const in_process_run want = replay_in_process(bytes, opt.checkpoint_events);
+  const std::vector<frame> got = serve_raw(socket_, stream_of(1, bytes));
+  ASSERT_FALSE(got.empty());
+  ASSERT_EQ(got.back().type, frame_type::stream_done);
+  const stream_done_msg done = decode_stream_done(got.back().payload);
+  EXPECT_EQ(done.racy_granules.size(), 80u);
+  ASSERT_EQ(got.size() - 1, want.races.size());
+  EXPECT_EQ(done.races_total, want.races.size());
+  for (std::size_t i = 0; i + 1 < got.size(); ++i) {
+    const race_msg m = decode_race(got[i].payload);
+    EXPECT_EQ(m.stream_id, 1u);
+    EXPECT_TRUE(same_race(m, want.races[i])) << "race " << i;
+  }
+  const corpus::golden_report golden =
+      load_corpus_golden("tracking-structured-xl");
+  EXPECT_EQ(std::set<std::uint64_t>(done.racy_granules.begin(),
+                                    done.racy_granules.end()),
+            golden.racy_granules);
+}
+
+// A stream that goes over budget at a checkpoint mid-replay still gets the
+// races found before it, then its error frame.
+TEST_F(ServeDaemonTest, OverBudgetStreamStillReceivesItsEarlierRaces) {
+  server_options opt;
+  opt.checkpoint_events = 4096;
+  start(opt);
+  const std::vector<std::uint8_t> bytes =
+      read_file(corpus_dir() + "/tracking-structured-xl.frdtz");
+  const in_process_run run = replay_in_process(bytes, opt.checkpoint_events);
+  // The grant: the trace plus the peak at the 10th checkpoint, so the
+  // first checkpoint whose peak is higher fails the stream.
+  ASSERT_GT(run.checkpoints.size(), 20u);
+  const std::uint64_t peak = run.checkpoints[9].first;
+  std::size_t fails_at = 10;
+  while (run.checkpoints[fails_at].first <= peak) ++fails_at;
+  const std::size_t races_before = run.checkpoints[fails_at].second;
+  ASSERT_GT(races_before, 0u);
+  ASSERT_LT(races_before, run.races.size());
+
+  frame_batch b;
+  b.add(frame_type::stream_open,
+        encode(stream_open_msg{.stream_id = 2,
+                               .backend = "multibags+",
+                               .store = "hashed-page",
+                               .budget = bytes.size() + peak}));
+  b.add_trace_data(2, bytes);
+  b.add(frame_type::stream_close, encode_stream_close(2));
+  const std::vector<frame> got = serve_raw(socket_, b);
+  ASSERT_FALSE(got.empty());
+  ASSERT_EQ(got.back().type, frame_type::error);
+  const error_msg e = decode_error_msg(got.back().payload);
+  EXPECT_EQ(e.code, error_code::budget_exceeded) << e.message;
+  ASSERT_EQ(got.size() - 1, races_before);
+  for (std::size_t i = 0; i + 1 < got.size(); ++i) {
+    EXPECT_TRUE(same_race(decode_race(got[i].payload), run.races[i]))
+        << "race " << i;
+  }
+}
+
+// Clients that write every frame on its own, as this client once did, and
+// split the trace over many data frames, are served as before.
+TEST_F(ServeDaemonTest, FramesWrittenOnePerCallAreServed) {
+  start();
+  client cli(socket_);
+  frame_io io(cli.native_handle());
+  const std::vector<std::uint8_t> bytes =
+      read_file(corpus_dir() + "/fuzz-general.frdt");
+  io.write_frame(frame_type::stream_open,
+                 encode(stream_open_msg{.stream_id = 4,
+                                        .backend = "multibags+",
+                                        .store = "hashed-page",
+                                        .budget = 0}));
+  for (std::size_t off = 0; off < bytes.size(); off += 333) {
+    const std::size_t n = std::min<std::size_t>(333, bytes.size() - off);
+    io.write_frame(frame_type::trace_data,
+                   encode_trace_data(4, std::span(bytes.data() + off, n)));
+  }
+  io.write_frame(frame_type::stream_close, encode_stream_close(4));
+  frame f;
+  std::size_t races = 0;
+  for (;;) {
+    ASSERT_TRUE(io.read_frame(f));
+    if (f.type == frame_type::stream_done) break;
+    ASSERT_EQ(f.type, frame_type::race);
+    ++races;
+  }
+  const stream_done_msg d = decode_stream_done(f.payload);
+  EXPECT_EQ(d.races_total, races);
+  corpus::golden_report got;
+  got.granule = d.granule;
+  got.events = d.events;
+  got.accesses = d.accesses;
+  got.gets = d.gets;
+  got.violations = d.violations;
+  got.racy_granules.insert(d.racy_granules.begin(), d.racy_granules.end());
+  EXPECT_EQ(got, load_corpus_golden("fuzz-general"));
+}
+
+// A 68-byte container declaring a 64 MiB chunk is a bad trace, refused at
+// its footer, and the daemon keeps serving.
+TEST_F(ServeDaemonTest, OversizedChunkContainerIsABadTrace) {
+  start();
+  client cli(socket_);
+  const std::string bad = container::testing::oversized_chunk_container();
+  const submit_result r = cli.submit(
+      std::vector<std::uint8_t>(bad.begin(), bad.end()), submit_options{});
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, error_code::bad_trace) << r.error;
+  EXPECT_NE(r.error.find("chunk limit"), std::string::npos) << r.error;
+  EXPECT_TRUE(cli.submit_file(corpus_dir() + "/sync-heavy.frdt").ok);
 }
 
 // --------------------------------------------- session::reset() cube --

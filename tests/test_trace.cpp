@@ -13,9 +13,15 @@
 #include "trace/event.hpp"
 #include "trace/player.hpp"
 #include "trace/recorder.hpp"
+#include "trace_reference.hpp"
 
 namespace frd::trace {
 namespace {
+
+using testing::decode_outcome;
+using testing::drain;
+using testing::reference_decode;
+using testing::seeded_flat_trace;
 
 // One event of every kind, with distinct field values so a codec that
 // permutes or drops a field cannot round-trip them.
@@ -434,6 +440,141 @@ TEST(TracePlayer, BinaryRoundTripThroughBytesReplaysIdentically) {
   ASSERT_EQ(copy.size(), tape.size());
   for (std::size_t i = 0; i < tape.size(); ++i) {
     EXPECT_EQ(copy.events()[i], tape.events()[i]) << "event " << i;
+  }
+}
+
+// ------------------------------------------ span decoder vs the reference --
+
+// trace_reader's outcome on `bytes` — through next() alone, or through
+// access runs — with header errors included.
+decode_outcome reader_decode(const std::string& bytes, bool runs) {
+  std::istringstream in(bytes);
+  try {
+    trace_reader r(in);
+    return drain(r, runs);
+  } catch (const trace_error& ex) {
+    return decode_outcome{{}, ex.what()};
+  }
+}
+
+void expect_same_outcome(const std::string& bytes, const std::string& what) {
+  const decode_outcome want = reference_decode(bytes);
+  for (const bool runs : {false, true}) {
+    const decode_outcome got = reader_decode(bytes, runs);
+    EXPECT_EQ(got.error, want.error) << what << (runs ? " (runs)" : "");
+    ASSERT_EQ(got.events.size(), want.events.size())
+        << what << (runs ? " (runs)" : "");
+    for (std::size_t i = 0; i < want.events.size(); ++i) {
+      ASSERT_EQ(got.events[i], want.events[i])
+          << what << (runs ? " (runs)" : "") << ", event " << i;
+    }
+  }
+}
+
+std::string header_bytes() {
+  std::ostringstream out;
+  trace_writer w(out, trace_header{kTraceVersion, 4});
+  return out.str().substr(0, 6);  // magic, version, granule
+}
+
+TEST(SpanDecoder, EveryTruncationPointFailsLikeTheReference) {
+  std::ostringstream out;
+  {
+    trace_writer w(out);
+    for (const trace_event& e : sample_events()) w.put(e);
+    w.finish();
+  }
+  const std::string full = out.str();
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    const std::string bytes = full.substr(0, cut);
+    expect_same_outcome(bytes, "cut at " + std::to_string(cut));
+    if (cut < full.size()) {
+      EXPECT_NE(reference_decode(bytes).error, "") << "cut at " << cut;
+    }
+  }
+}
+
+// Each malformed event, where the decoder reads byte by byte (near the end
+// of the input) and where it decodes in place (64 more bytes follow).
+TEST(SpanDecoder, MalformedEventsFailLikeTheReference) {
+  const std::string nine_continued(9, '\xFF');
+  // What each one must make the decoders say ("" when it is well formed).
+  struct bad_event {
+    std::string what, bytes, error;
+  };
+  const std::vector<bad_event> cases = {
+      {"unknown kind", std::string(1, '\x2A'), "unknown event kind 42"},
+      {"unknown kind 0xFE", std::string(1, '\xFE'), "unknown event kind 254"},
+      {"address varint past 64 bits",
+       std::string(1, '\x09') + nine_continued + '\x7F', "overflows 64 bits"},
+      {"address varint with a continuation in byte 10",
+       std::string(1, '\x0A') + nine_continued + '\x81', "overflows 64 bits"},
+      {"address at bit 63", std::string(1, '\x09') + nine_continued + '\x01', ""},
+      {"spawn field over 32 bits",
+       std::string("\x03\x80\x80\x80\x80\x10\x00\x00\x00\x00", 10),
+       "overflows 32-bit id in a 'spawn' event"},
+      {"get field at 32 bits exactly",
+       std::string("\x08\xFF\xFF\xFF\xFF\x0F\x00\x00\x00\x00\x00", 11),
+       ""},
+      {"get field over 32 bits in the last field",
+       std::string("\x08\x00\x00\x00\x00\x00\x80\x80\x80\x80\x10", 11),
+       "overflows 32-bit id in a 'get' event"},
+      {"sync_begin count varint past 64 bits",
+       std::string("\x06\x01\x02", 3) + nine_continued + '\x02',
+       "overflows 64 bits"},
+  };
+  // Events before the bad one, so it does not start the stream.
+  std::string lead;
+  {
+    std::ostringstream out;
+    trace_writer w(out, trace_header{kTraceVersion, 4});
+    for (const trace_event& e : sample_events()) w.put(e);
+    lead = out.str().substr(6);  // the events, without header or end marker
+  }
+  for (const auto& [what, bad, error] : cases) {
+    const std::string head = header_bytes() + lead + bad;
+    const std::string said = reference_decode(head + '\xFF').error;
+    EXPECT_NE(said.find(error), std::string::npos) << what << ": " << said;
+    EXPECT_EQ(said.empty(), error.empty()) << what << ": " << said;
+    // Near the end: an end marker, or a cut right after the event.
+    expect_same_outcome(head + '\xFF', what + " (slow path, ended)");
+    expect_same_outcome(head, what + " (slow path, cut)");
+    // In place: 64 more valid bytes after it.
+    std::string tail;
+    for (int i = 0; i < 32; ++i) tail += std::string("\x09\x04", 2);
+    expect_same_outcome(head + tail + '\xFF', what + " (in place)");
+  }
+  // The end marker missing after a long stretch: no byte left to read.
+  std::string accesses = header_bytes();
+  for (int i = 0; i < 100; ++i) accesses += std::string("\x09\x04", 2);
+  expect_same_outcome(accesses, "end marker missing");
+  EXPECT_EQ(reference_decode(accesses).error,
+            "truncated trace: end marker missing");
+}
+
+TEST(SpanDecoder, HeaderDefectsFailLikeTheReference) {
+  const std::string nine_continued(9, '\xFF');
+  for (const std::string& bytes :
+       {std::string(""), std::string("FRD"), std::string("FRDX\x01\x04", 6),
+        std::string("FRDT"), std::string("FRDT\x01", 5),
+        std::string("FRDT\x02\x04", 6), std::string("FRDT\x81", 5),
+        std::string("FRDT\x01\x03", 6), std::string("FRDT\x01\x80\x20", 7),
+        "FRDT" + nine_continued + '\x7F',
+        std::string("FRDT\x01", 5) + nine_continued + '\x01'}) {
+    expect_same_outcome(bytes, "header '" + bytes + "'");
+    EXPECT_NE(reference_decode(bytes).error, "");
+  }
+}
+
+// trace_reader reads kBlockBytes at a time: events of 2 to 31 bytes, shifted
+// by every padding up to the longest, cross those block ends at every
+// offset.
+TEST(SpanDecoder, EventsAcrossBlockBoundariesMatchTheReference) {
+  for (int pad = 0; pad < 64; ++pad) {
+    if (pad == 1) continue;
+    const std::string bytes = seeded_flat_trace(7, 6000, pad);
+    ASSERT_GT(bytes.size(), 2 * trace_reader::kBlockBytes);
+    expect_same_outcome(bytes, "pad " + std::to_string(pad));
   }
 }
 

@@ -30,6 +30,7 @@
 // everywhere a trace is read; `--compress` records straight into a
 // container, and pack/unpack convert losslessly (unpack reproduces the
 // packed .frdt byte-for-byte).
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +39,7 @@
 #include <iostream>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -247,6 +249,15 @@ class prefix_source final : public trace::trace_source {
       pending_children_ = e.sync_begin.count;
     }
     return true;
+  }
+  // Access runs stop at the limit; none is handed out inside a sync run,
+  // whose children only next() may deliver.
+  std::span<const trace::trace_event> access_run(std::size_t max) override {
+    if (pending_children_ > 0 || total_ >= limit_) return {};
+    const std::span<const trace::trace_event> run =
+        src_.access_run(std::min<std::uint64_t>(max, limit_ - total_));
+    total_ += run.size();
+    return run;
   }
 
  private:
