@@ -40,7 +40,10 @@ class stream_chunker {
   // chunk and returns how many bytes that was, or 0 when no byte of it ends
   // one (then all of it was consumed). State resets at a cut and carries
   // over between calls, so the cuts do not depend on how the bytes are
-  // split into calls.
+  // split into calls. The first bytes of each chunk, up to the mask width
+  // short of min_size, are counted without being hashed: the bits a cut
+  // tests depend only on the last mask-width bytes, so every cut falls
+  // where hashing the whole chunk puts it.
   std::size_t next_cut(std::span<const std::uint8_t> data);
 
   // next_cut() on one byte: true when a chunk boundary falls AFTER `b`.
@@ -53,6 +56,9 @@ class stream_chunker {
  private:
   chunk_params params_;
   std::uint64_t mask_;
+  // Bytes at the start of every chunk that are counted but not hashed:
+  // min_size less the mask width (see next_cut).
+  std::size_t skip_;
   const std::uint64_t* gear_;
   std::uint64_t hash_ = 0;
   std::size_t len_ = 0;

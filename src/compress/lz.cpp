@@ -7,11 +7,8 @@
 namespace frd::compress {
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
+  std::uint8_t buf[10];
+  out.insert(out.end(), buf, put_varint(buf, v));
 }
 
 std::uint64_t get_varint(std::span<const std::uint8_t> in, std::size_t& pos) {
@@ -39,6 +36,9 @@ std::uint32_t lz_compressor::start(std::size_t n) {
     base_ = 1;
   }
   if (chain_.size() < n) chain_.resize(n);
+  // The output's longest form: a literal run of one byte before each
+  // 4-byte match costs 8 bytes per 5 input bytes, so 2n + 16 always fits.
+  if (out_.size() < 2 * n + 16) out_.resize(2 * n + 16);
   const std::uint32_t base = base_;
   base_ += static_cast<std::uint32_t>(n);
   return base;

@@ -1,5 +1,7 @@
 #include "container/writer.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <exception>
 #include <ostream>
@@ -24,95 +26,54 @@ const compress::chunk_params& checked(const compress::chunk_params& params) {
   return params;
 }
 
+// The first set bit of `bits` in [from, to), from < to, or `to` when none
+// is; `count` gets how many are set there.
+std::size_t first_set(const std::uint64_t* bits, std::size_t from,
+                      std::size_t to, std::uint64_t& count) {
+  std::size_t first = to;
+  count = 0;
+  const std::size_t last = (to - 1) / 64;
+  for (std::size_t w = from / 64; w <= last; ++w) {
+    std::uint64_t word = bits[w];
+    if (w == from / 64) word &= ~std::uint64_t{0} << (from % 64);
+    if (w == last && to % 64 != 0) word &= (std::uint64_t{1} << (to % 64)) - 1;
+    if (word != 0 && first == to) first = 64 * w + std::countr_zero(word);
+    count += static_cast<std::uint64_t>(std::popcount(word));
+  }
+  return first;
+}
+
+// Moves bits [from, end) of `bits` to [0, end - from) and clears the rest
+// of [0, end); bits at and past `end` are clear before and after.
+void shift_down(std::uint64_t* bits, std::size_t from, std::size_t end) {
+  const std::size_t used = (end + 63) / 64;
+  const std::size_t kept = (end - from + 63) / 64;
+  const std::size_t w = from / 64;
+  const unsigned b = from % 64;
+  for (std::size_t i = 0; i < kept; ++i) {
+    std::uint64_t v = bits[w + i] >> b;
+    if (b != 0 && w + i + 1 < used) v |= bits[w + i + 1] << (64 - b);
+    bits[i] = v;
+  }
+  std::fill(bits + kept, bits + used, std::uint64_t{0});
+}
+
 }  // namespace
-
-// ---------------------------------------------------- chunking_streambuf --
-
-container_writer::chunking_streambuf::chunking_streambuf(
-    container_writer& owner, const compress::chunk_params& params)
-    : owner_(owner), chunker_(params), buf_(2 * params.max_size) {
-  char* const area = reinterpret_cast<char*>(buf_.data());
-  setp(area, area + buf_.size());
-}
-
-void container_writer::chunking_streambuf::note_event_start(
-    std::uint64_t index) {
-  const std::uint64_t at = raw_total();
-  // A start noted again before any byte is written replaces the earlier one:
-  // once a failed chunk write has put the inner stream in a failed state,
-  // later events write nothing, and the list must not grow with them.
-  if (!starts_.empty() && starts_.back().offset == at) {
-    starts_.back().index = index;
-  } else {
-    starts_.push_back(event_start{index, at});
-  }
-}
-
-void container_writer::chunking_streambuf::cut_chunks(bool flush_tail) {
-  std::uint8_t* const data = buf_.data();
-  const auto end = static_cast<std::size_t>(pptr() - pbase());
-  std::size_t from = 0;  // first byte of the open chunk
-  std::size_t next = 0;  // first entry of starts_ not in an emitted chunk
-  const auto emit = [&](std::size_t to) {
-    std::uint64_t first_event = started_;
-    std::uint64_t first_offset = to - from;  // no event starts in the chunk
-    const std::uint64_t limit = open_base_ + to;
-    if (next < starts_.size() && starts_[next].offset < limit) {
-      first_event = starts_[next].index;
-      first_offset = starts_[next].offset - (open_base_ + from);
-      while (next < starts_.size() && starts_[next].offset < limit) ++next;
-      started_ = starts_[next - 1].index + 1;
-    }
-    owner_.emit_chunk({data + from, to - from}, first_event, first_offset);
-    from = to;
-  };
-  while (scanned_ < end) {
-    const std::size_t cut =
-        chunker_.next_cut({data + scanned_, end - scanned_});
-    if (cut == 0) {
-      scanned_ = end;
-      break;
-    }
-    scanned_ += cut;
-    emit(scanned_);
-  }
-  if (flush_tail && from < end) emit(end);
-
-  // The open chunk moves to the front of the put area; the chunker cuts at
-  // max_size, so it is shorter than that and at least half the area is free.
-  starts_.erase(starts_.begin(),
-                starts_.begin() + static_cast<std::ptrdiff_t>(next));
-  std::memmove(data, data + from, end - from);
-  open_base_ += from;
-  scanned_ -= from;
-  char* const area = reinterpret_cast<char*>(data);
-  setp(area, area + buf_.size());
-  pbump(static_cast<int>(end - from));
-}
-
-container_writer::chunking_streambuf::int_type
-container_writer::chunking_streambuf::overflow(int_type ch) {
-  cut_chunks(false);
-  if (traits_type::eq_int_type(ch, traits_type::eof())) {
-    return traits_type::not_eof(ch);
-  }
-  *pptr() = traits_type::to_char_type(ch);
-  pbump(1);
-  return ch;
-}
-
-void container_writer::chunking_streambuf::flush_open_chunk() {
-  cut_chunks(true);
-}
-
-// ------------------------------------------------------- container_writer --
 
 container_writer::container_writer(std::ostream& out, trace::trace_header h,
                                    compress::chunk_params params)
     : out_(out),
-      buf_(*this, checked(params)),
-      inner_stream_(&buf_),
+      header_(h),
+      chunker_(checked(params)),
+      // The open chunk stays shorter than max_size, so after every cut at
+      // least max_size + kMaxEventBytes bytes are free.
+      buf_(2 * params.max_size + trace::kMaxEventBytes),
+      starts_(buf_.size() / 64 + 1, 0),
       ctor_exceptions_(std::uncaught_exceptions()) {
+  // The FRDT header opens the first chunk; encoding it first rejects a bad
+  // granule before anything is written.
+  end_ = static_cast<std::size_t>(trace::encode_header(buf_.data(), h) -
+                                  buf_.data());
   out_.write(kMagic, sizeof(kMagic));
   std::vector<std::uint8_t> v;
   compress::put_varint(v, kContainerVersion);
@@ -122,9 +83,6 @@ container_writer::container_writer(std::ostream& out, trace::trace_header h,
   file_offset_ = sizeof(kMagic) + v.size();
   info_.inner_version = h.version;
   info_.granule = h.granule;
-  // The inner writer serializes the FRDT header into the chunk stream
-  // immediately; those bytes belong to the first chunk.
-  inner_ = std::make_unique<trace::trace_writer>(inner_stream_, h);
 }
 
 container_writer::~container_writer() {
@@ -138,28 +96,73 @@ container_writer::~container_writer() {
 }
 
 void container_writer::on_header(const trace::trace_header& h) {
-  inner_->on_header(h);
+  trace::check_announced_header(h, header_);
   info_.inner_version = h.version;
   info_.granule = h.granule;
 }
 
 void container_writer::put(const trace::trace_event& e) {
-  buf_.note_event_start(events_);
-  inner_->put(e);
+  if (finished_ || failed_) [[unlikely]] {
+    if (finished_) {
+      throw trace_error(
+          "put() after finish(): events past the end marker would be "
+          "silently invisible to readers");
+    }
+    return;
+  }
+  if (buf_.size() - end_ < trace::kMaxEventBytes) [[unlikely]] {
+    cut_chunks(false);
+    if (failed_) return;
+  }
+  starts_[end_ / 64] |= std::uint64_t{1} << (end_ % 64);
+  std::uint8_t* const data = buf_.data();
+  end_ = static_cast<std::size_t>(trace::encode_event(data + end_, e) - data);
   ++events_;
 }
 
-void container_writer::emit_chunk(std::span<const std::uint8_t> raw,
-                                  std::uint64_t first_event,
-                                  std::uint64_t first_offset) {
-  const compress::sha1_digest digest = compress::sha1(raw);
+void container_writer::cut_chunks(bool flush_tail) {
+  std::uint8_t* const data = buf_.data();
+  std::size_t from = 0;  // first byte of the open chunk
+  while (scanned_ < end_) {
+    const std::size_t cut =
+        chunker_.next_cut({data + scanned_, end_ - scanned_});
+    if (cut == 0) {
+      scanned_ = end_;
+      break;
+    }
+    scanned_ += cut;
+    emit_chunk(from, scanned_);
+    if (failed_) return;
+    from = scanned_;
+  }
+  if (flush_tail && from < end_) {
+    emit_chunk(from, end_);
+    if (failed_) return;
+    from = end_;
+  }
+  if (from == 0) return;
+
+  // The open chunk moves to the front of the buffer.
+  std::memmove(data, data + from, end_ - from);
+  shift_down(starts_.data(), from, end_);
+  open_base_ += from;
+  scanned_ -= from;
+  end_ -= from;
+}
+
+void container_writer::emit_chunk(std::size_t from, std::size_t to) {
+  const std::span<const std::uint8_t> raw(buf_.data() + from, to - from);
   chunk_entry entry;
   entry.raw_size = raw.size();
-  entry.first_event = first_event;
-  entry.first_offset = first_offset;
-  entry.digest = digest;
+  // first_offset == raw_size when no event starts in the chunk; first_event
+  // is then the next event's index.
+  std::uint64_t starting = 0;
+  entry.first_offset = first_set(starts_.data(), from, to, starting) - from;
+  entry.first_event = started_;
+  started_ += starting;
+  entry.digest = compress::sha1(raw);
 
-  if (const auto it = dedup_.find(digest); it != dedup_.end()) {
+  if (const auto it = dedup_.find(entry.digest); it != dedup_.end()) {
     const chunk_entry& first = info_.chunks[it->second];
     entry.offset = first.offset;
     entry.stored_size = first.stored_size;
@@ -168,29 +171,42 @@ void container_writer::emit_chunk(std::span<const std::uint8_t> raw,
     return;
   }
 
-  const auto packed = lz_.compress<detect::hooks::none>(raw);
+  const std::span<const std::uint8_t> packed =
+      lz_.compress<detect::hooks::none>(raw);
   const bool use_lz = packed.size() < raw.size();
-  const std::span<const std::uint8_t> stored =
-      use_lz ? std::span<const std::uint8_t>(packed) : raw;
+  const std::span<const std::uint8_t> stored = use_lz ? packed : raw;
   entry.offset = file_offset_;
   entry.stored_size = stored.size();
   entry.encoding = use_lz ? chunk_encoding::lz : chunk_encoding::raw;
   out_.write(reinterpret_cast<const char*>(stored.data()),
              static_cast<std::streamsize>(stored.size()));
-  if (!out_) throw trace_error("trace container: write failed on chunk");
+  if (!out_) {
+    failed_ = true;
+    return;
+  }
   file_offset_ += stored.size();
-  dedup_.emplace(digest, info_.chunks.size());
+  dedup_.emplace(entry.digest, info_.chunks.size());
   info_.chunks.push_back(entry);
 }
 
 void container_writer::finish() {
   if (finished_) return;
-  inner_->finish();           // end marker lands in the chunk stream
-  buf_.flush_open_chunk();    // whatever remains becomes the last chunk
   finished_ = true;
+  if (!failed_) {
+    if (end_ == buf_.size()) cut_chunks(false);
+    if (!failed_) {
+      buf_[end_++] = trace::kEndMarker;
+      cut_chunks(true);  // whatever remains becomes the last chunk
+    }
+  }
+  if (failed_) {
+    throw trace_error(
+        "trace container: write failed on chunk; the written container is "
+        "incomplete");
+  }
 
   info_.event_count = events_;
-  info_.raw_size = buf_.raw_total();
+  info_.raw_size = open_base_ + end_;
 
   const std::uint64_t footer_offset = file_offset_;
   std::vector<std::uint8_t> footer;

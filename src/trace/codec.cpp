@@ -12,18 +12,6 @@ namespace frd::trace {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'R', 'D', 'T'};
-constexpr int kEndMarker = 0xFF;
-
-// Appends v's varint at `out`; returns the end of what it wrote (at most 10
-// bytes).
-char* encode_varint(char* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    *out++ = static_cast<char>((v & 0x7F) | 0x80);
-    v >>= 7;
-  }
-  *out++ = static_cast<char>(v);
-  return out;
-}
 
 [[noreturn]] void varint_overflow() {
   throw trace_error("malformed trace: varint overflows 64 bits");
@@ -78,27 +66,42 @@ void check_version(std::uint64_t version) {
   }
 }
 
-void check_recorder_granule(std::uint32_t recorded, std::uint32_t written) {
-  if (recorded != written) {
+}  // namespace
+
+// ----------------------------------------------------------------- encoder --
+
+std::uint8_t* encode_header(std::uint8_t* out, const trace_header& h) {
+  check_granule(h.granule);
+  std::memcpy(out, kMagic, sizeof(kMagic));
+  out = compress::put_varint(out + sizeof(kMagic), h.version);
+  return compress::put_varint(out, h.granule);
+}
+
+void check_announced_header(const trace_header& announced,
+                            const trace_header& written) {
+  if (announced.granule != written.granule) {
     throw trace_error(
-        "recorder granule " + std::to_string(recorded) +
+        "recorder granule " + std::to_string(announced.granule) +
         " contradicts the granule already written to this trace (" +
-        std::to_string(written) + ")");
+        std::to_string(written.granule) + ")");
   }
 }
 
-}  // namespace
+std::uint8_t* detail::encode_dag_event(std::uint8_t* out,
+                                       const trace_event& e) {
+  *out++ = static_cast<std::uint8_t>(e.kind);
+  const event_fields f = fields_of(e);
+  for (int i = 0; i < f.n; ++i) out = compress::put_varint(out, f.v[i]);
+  return out;
+}
 
 // ------------------------------------------------------------------ binary --
 
 trace_writer::trace_writer(std::ostream& out, trace_header h)
     : out_(out), header_(h), ctor_exceptions_(std::uncaught_exceptions()) {
-  check_granule(h.granule);
-  char buf[sizeof(kMagic) + 20];
-  std::memcpy(buf, kMagic, sizeof(kMagic));
-  char* end = encode_varint(buf + sizeof(kMagic), h.version);
-  end = encode_varint(end, h.granule);
-  out_.write(buf, end - buf);
+  std::uint8_t buf[kMaxHeaderBytes];
+  const std::uint8_t* const end = encode_header(buf, h);
+  out_.write(reinterpret_cast<const char*>(buf), end - buf);
 }
 
 trace_writer::~trace_writer() {
@@ -115,7 +118,7 @@ trace_writer::~trace_writer() {
 }
 
 void trace_writer::on_header(const trace_header& h) {
-  check_recorder_granule(h.granule, header_.granule);
+  check_announced_header(h, header_);
 }
 
 void trace_writer::put(const trace_event& e) {
@@ -125,12 +128,9 @@ void trace_writer::put(const trace_event& e) {
         "invisible to readers");
   }
   // One write per event: the kind byte and every varint field.
-  char buf[1 + 10 * kMaxEventFields];
-  buf[0] = static_cast<char>(e.kind);
-  char* end = buf + 1;
-  const event_fields f = fields_of(e);
-  for (int i = 0; i < f.n; ++i) end = encode_varint(end, f.v[i]);
-  out_.write(buf, end - buf);
+  std::uint8_t buf[kMaxEventBytes];
+  const std::uint8_t* const end = encode_event(buf, e);
+  out_.write(reinterpret_cast<const char*>(buf), end - buf);
   ++events_;
 }
 
@@ -279,7 +279,7 @@ jsonl_writer::jsonl_writer(std::ostream& out, trace_header h)
 }
 
 void jsonl_writer::on_header(const trace_header& h) {
-  check_recorder_granule(h.granule, header_.granule);
+  check_announced_header(h, header_);
 }
 
 void jsonl_writer::finish() {

@@ -20,6 +20,7 @@
 // destructor are swallowed — call finish() when you care).
 #pragma once
 
+#include <cstddef>
 #include <exception>
 #include <iosfwd>
 #include <memory>
@@ -27,9 +28,49 @@
 #include <string>
 #include <vector>
 
+#include "compress/lz.hpp"
 #include "trace/event.hpp"
 
 namespace frd::trace {
+
+// ----------------------------------------------------------------- encoder --
+
+// The one FRDT encoder: trace_writer and container::container_writer both
+// write the format through these functions.
+
+// Longest encoding of one event: the kind byte and six 10-byte varints.
+inline constexpr std::size_t kMaxEventBytes = 1 + 10 * kMaxEventFields;
+// Longest encoding of the header: the magic and two 32-bit varints.
+inline constexpr std::size_t kMaxHeaderBytes = 4 + 2 * 5;
+// The byte that follows the last event.
+inline constexpr std::uint8_t kEndMarker = 0xFF;
+
+// Writes the magic and `h` at `out`, which has room for kMaxHeaderBytes,
+// and returns the end of what it wrote. Throws trace_error when h.granule
+// is not one the format carries.
+std::uint8_t* encode_header(std::uint8_t* out, const trace_header& h);
+
+// A recorder announcing a granule other than the one `written` put on the
+// wire is a configuration bug: throws trace_error.
+void check_announced_header(const trace_header& announced,
+                            const trace_header& written);
+
+namespace detail {
+
+// encode_event for the kinds that are not accesses.
+std::uint8_t* encode_dag_event(std::uint8_t* out, const trace_event& e);
+
+}  // namespace detail
+
+// Writes `e` at `out`, which has room for kMaxEventBytes, and returns the
+// end of what it wrote: the kind byte, then its fields as varints.
+inline std::uint8_t* encode_event(std::uint8_t* out, const trace_event& e) {
+  if (e.kind == event_kind::read || e.kind == event_kind::write) {
+    *out = static_cast<std::uint8_t>(e.kind);
+    return compress::put_varint(out + 1, e.access.addr);
+  }
+  return detail::encode_dag_event(out, e);
+}
 
 // ------------------------------------------------------------------ binary --
 
@@ -83,9 +124,6 @@ class span_decoder {
    protected:
     ~feed() = default;
   };
-
-  // Longest encoding of one event: the kind byte and six 10-byte varints.
-  static constexpr std::size_t kMaxEventBytes = 1 + 10 * kMaxEventFields;
 
   // The decoder points into its feed's blocks, and its owner is usually
   // the feed: neither may move.

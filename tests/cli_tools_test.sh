@@ -316,6 +316,23 @@ expect_rc 1 "frd-corpus generate rejects an unknown --only" \
 expect_rc 0 "frd-corpus verify passes on the checked-in corpus" \
   "$FRD_CORPUS" verify --dir "$CORPUS_DIR"
 
+# Regenerating the corpus runs live recording, address normalisation and
+# both writers for every entry: every checked-in file but the README must
+# come back byte for byte, and nothing else may appear.
+mkdir "$TMP/regen"
+expect_rc 0 "frd-corpus generate writes the corpus" \
+  "$FRD_CORPUS" generate --dir "$TMP/regen"
+for f in "$CORPUS_DIR"/*; do
+  name=$(basename "$f")
+  [ "$name" = README.md ] && continue
+  cmp -s "$f" "$TMP/regen/$name" ||
+    fail "frd-corpus generate: $name differs from the checked-in corpus"
+done
+for f in "$TMP/regen"/*; do
+  [ -e "$CORPUS_DIR/$(basename "$f")" ] ||
+    fail "frd-corpus generate wrote $(basename "$f"), which the corpus lacks"
+done
+
 # Tamper with a copy: verify must exit non-zero and say WHICH backend
 # diverged on WHICH granule.
 cp -r "$CORPUS_DIR" "$TMP/corpus"

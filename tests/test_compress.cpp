@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/chunker.hpp"
@@ -259,7 +261,9 @@ void expect_reuse_matches_fresh_calls() {
   lz_compressor reused;
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     const auto fresh = lz_compress<H>(inputs[k]);
-    EXPECT_EQ(reused.compress<H>(inputs[k]), fresh) << "input " << k;
+    const auto again = reused.compress<H>(inputs[k]);
+    EXPECT_EQ(std::vector<std::uint8_t>(again.begin(), again.end()), fresh)
+        << "input " << k;
     EXPECT_EQ(lz_decompress(fresh, inputs[k].size()), inputs[k])
         << "input " << k;
   }
@@ -418,6 +422,219 @@ TEST(LzReference, CompressedInputsDecodeLikeTheReference) {
   }
 }
 
+
+// The matcher lz_compressor::compress was before it wrote ops through a
+// raw pointer and folded the window test into the chain bound: fresh
+// tables per call, ops appended to a vector, and each candidate tested
+// against the byte at the best length so far. Kept as the reference the
+// compressor must match byte for byte.
+template <typename H>
+std::vector<std::uint8_t> reference_lz_compress(
+    std::span<const std::uint8_t> in) {
+  constexpr std::size_t kWindow = 1u << 16, kMinMatch = 4, kMaxChain = 32;
+  constexpr std::size_t kHashBits = 15;
+  const auto load4 = [](const std::uint8_t* p) {
+    H::read(p, 4);
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+  };
+  const auto hash4 = [](std::uint32_t x) {
+    return (x * 2654435761u) >> (32 - kHashBits);
+  };
+  const std::uint8_t* const p = in.data();
+  const std::size_t n = in.size();
+  const auto match_length = [&](std::size_t c, std::size_t i) {
+    std::size_t len = 0;
+    for (; i + len + 8 <= n; len += 8) {
+      H::read(p + c + len, 8);
+      H::read(p + i + len, 8);
+      std::uint64_t a, b;
+      std::memcpy(&a, p + c + len, 8);
+      std::memcpy(&b, p + i + len, 8);
+      if (a != b) {
+        const int bit = std::endian::native == std::endian::little
+                            ? std::countr_zero(a ^ b)
+                            : std::countl_zero(a ^ b);
+        return len + static_cast<std::size_t>(bit / 8);
+      }
+    }
+    for (; i + len < n; ++len) {
+      H::read(p + c + len, 1);
+      H::read(p + i + len, 1);
+      if (p[c + len] != p[i + len]) break;
+    }
+    return len;
+  };
+  // Positions are stored plus one, so 0 is an empty entry.
+  std::vector<std::uint32_t> head(std::size_t{1} << kHashBits, 0);
+  std::vector<std::uint32_t> chain(n);
+  std::vector<std::uint8_t> out;
+  std::size_t lit_start = 0;
+  auto flush_literals = [&](std::size_t upto) {
+    if (upto == lit_start) return;
+    const std::size_t len = upto - lit_start;
+    out.push_back(0x01);
+    put_varint(out, len);
+    H::read(p + lit_start, len);
+    out.insert(out.end(), p + lit_start, p + upto);
+    H::write(out.data() + out.size() - len, len);
+  };
+  std::size_t i = 0;
+  while (i + kMinMatch <= n) {
+    const std::uint32_t h = hash4(load4(p + i));
+    std::size_t best_len = 0, best_dist = 0;
+    std::uint32_t cand = head[h];
+    for (std::size_t depth = 0;
+         cand >= 1 && depth < kMaxChain && i - (cand - 1) <= kWindow; ++depth) {
+      const std::size_t c = cand - 1;
+      cand = chain[c];
+      H::read(p + c + best_len, 1);
+      H::read(p + i + best_len, 1);
+      if (p[c + best_len] != p[i + best_len]) continue;
+      const std::size_t len = match_length(c, i);
+      if (len > best_len) {
+        best_len = len;
+        best_dist = i - c;
+        if (i + len == n) break;
+      }
+    }
+    if (best_len >= kMinMatch) {
+      flush_literals(i);
+      out.push_back(0x02);
+      put_varint(out, best_len);
+      put_varint(out, best_dist);
+      const std::size_t end = i + best_len;
+      while (i < end && i + kMinMatch <= n) {
+        const std::uint32_t hh = hash4(load4(p + i));
+        chain[i] = head[hh];
+        head[hh] = static_cast<std::uint32_t>(i) + 1;
+        ++i;
+      }
+      i = end;
+      lit_start = i;
+    } else {
+      chain[i] = head[h];
+      head[h] = static_cast<std::uint32_t>(i) + 1;
+      ++i;
+    }
+  }
+  flush_literals(n);
+  out.push_back(0x00);
+  return out;
+}
+
+// The reference inputs: compressor_inputs(), plus seeded random,
+// repetitive and run-length inputs; inputs past the 64 KiB window, the only
+// ones where the window ends a chain walk (a motif recurring just inside,
+// at and just past the window, and a long mixed input); and inputs whose
+// 4-byte prefixes recur far more than 32 times within the window, so walks
+// stop at the chain depth.
+std::vector<std::vector<std::uint8_t>> reference_inputs() {
+  std::vector<std::vector<std::uint8_t>> v = compressor_inputs();
+  prng rng(2023);
+  for (std::size_t size : {100u, 5000u, 70000u}) {
+    std::vector<std::uint8_t> random(size);
+    for (auto& b : random) b = static_cast<std::uint8_t>(rng.next());
+    v.push_back(random);
+    std::vector<std::uint8_t> runs;
+    while (runs.size() < size) {
+      runs.insert(runs.end(), 1 + rng.below(200),
+                  static_cast<std::uint8_t>(rng.below(4)));
+    }
+    v.push_back(runs);
+  }
+  std::vector<std::uint8_t> motif(256);
+  for (auto& b : motif) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t gap : {detail::kWindow - 300, detail::kWindow - 256,
+                          detail::kWindow - 255, detail::kWindow,
+                          detail::kWindow + 1}) {
+    std::vector<std::uint8_t> in(motif);
+    while (in.size() < gap) in.push_back(static_cast<std::uint8_t>(rng.next()));
+    in.insert(in.end(), motif.begin(), motif.end());
+    v.push_back(in);
+  }
+  v.push_back(mixed_input(11, 200000));
+  for (int tail : {1, 2, 3}) {
+    // "ABCD" thousands of times, each followed by a few seeded bytes.
+    std::vector<std::uint8_t> deep;
+    while (deep.size() < 60000) {
+      deep.insert(deep.end(), {'A', 'B', 'C', 'D'});
+      for (int k = 0; k < tail; ++k)
+        deep.push_back(static_cast<std::uint8_t>(rng.below(tail + 1)));
+    }
+    v.push_back(deep);
+  }
+  return v;
+}
+
+template <typename H>
+void expect_compress_like_the_reference() {
+  const auto inputs = reference_inputs();
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    EXPECT_EQ(lz_compress<H>(inputs[k]), reference_lz_compress<H>(inputs[k]))
+        << "input " << k << ", " << inputs[k].size() << " bytes";
+  }
+  // One compressor over the inputs forward, then backward.
+  lz_compressor reused;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      const auto& in = inputs[pass == 0 ? j : inputs.size() - 1 - j];
+      const auto got = reused.compress<H>(in);
+      EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()),
+                reference_lz_compress<H>(in))
+          << "pass " << pass << ", " << in.size() << " bytes";
+    }
+  }
+}
+
+TEST(LzReference, CompressesLikeTheReferenceUninstrumented) {
+  expect_compress_like_the_reference<none>();
+}
+
+TEST(LzReference, CompressesLikeTheReferenceInstrumented) {
+  expect_compress_like_the_reference<detect::hooks::active>();
+}
+
+// Every chunk of the checked-in containers, raw bytes as the reader
+// verifies them, through one compressor per hook policy.
+TEST(LzReference, EveryCheckedInChunkCompressesLikeTheReference) {
+  std::size_t containers = 0, chunks = 0;
+  lz_compressor plain, hooked;
+  for (const auto& file : std::filesystem::directory_iterator(corpus_dir())) {
+    if (file.path().extension() != ".frdtz") continue;
+    ++containers;
+    std::ifstream in(file.path(), std::ios::binary);
+    const container::container_info info = container::read_container_info(in);
+    for (std::size_t i = 0; i < info.chunks.size(); ++i) {
+      const container::chunk_entry& c = info.chunks[i];
+      std::vector<std::uint8_t> stored(c.stored_size);
+      in.clear();
+      in.seekg(static_cast<std::streamoff>(c.offset));
+      in.read(reinterpret_cast<char*>(stored.data()),
+              static_cast<std::streamsize>(stored.size()));
+      ASSERT_TRUE(in.good()) << file.path() << " chunk " << i;
+      const std::vector<std::uint8_t> raw =
+          c.encoding == container::chunk_encoding::lz
+              ? lz_decompress(stored, c.raw_size)
+              : stored;
+      const auto want = reference_lz_compress<none>(raw);
+      const auto a = plain.compress<none>(raw);
+      ASSERT_EQ(std::vector<std::uint8_t>(a.begin(), a.end()), want)
+          << file.path() << " chunk " << i;
+      const auto b = hooked.compress<detect::hooks::active>(raw);
+      ASSERT_EQ(std::vector<std::uint8_t>(b.begin(), b.end()), want)
+          << file.path() << " chunk " << i;
+      if (c.encoding == container::chunk_encoding::lz) {
+        EXPECT_EQ(want, stored) << file.path() << " chunk " << i;
+      }
+      ++chunks;
+    }
+  }
+  EXPECT_GE(containers, 3u) << "no checked-in .frdtz under " << corpus_dir();
+  EXPECT_GT(chunks, 1000u);
+}
 
 TEST(LzCompressor, ReuseMatchesFreshCallsInstrumented) {
   expect_reuse_matches_fresh_calls<detect::hooks::active>();
@@ -579,6 +796,130 @@ TEST(StreamChunker, PendingTracksOpenChunk) {
     const bool cut = ck.push(static_cast<std::uint8_t>(rng.next()));
     expect = cut ? 0 : expect + 1;
     ASSERT_EQ(ck.pending(), expect);
+  }
+}
+
+// What stream_chunker keeps between next_cut() calls.
+struct reference_cut_state {
+  explicit reference_cut_state(const chunk_params& p) : params(p) {
+    std::uint64_t m = 1;
+    while (m < p.target_size) m <<= 1;
+    mask = m - 1;
+  }
+  chunk_params params;
+  std::uint64_t mask;
+  std::uint64_t hash = 0;
+  std::size_t len = 0;
+};
+
+// The cut scan stream_chunker::next_cut was before it skipped the bytes
+// ahead of min_size that no cut depends on and hashed two bytes a step:
+// every byte hashed, and both bounds tested at every byte. Kept as the
+// reference the chunker must match cut for cut.
+std::size_t reference_next_cut(reference_cut_state& s,
+                               std::span<const std::uint8_t> data) {
+  const std::uint64_t* const gear = gear_table();
+  for (std::size_t k = 0; k < data.size(); ++k) {
+    s.hash = (s.hash << 1) + gear[data[k]];
+    ++s.len;
+    if ((s.len >= s.params.min_size && (s.hash & s.mask) == 0) ||
+        s.len >= s.params.max_size) {
+      s.hash = 0;
+      s.len = 0;
+      return k + 1;
+    }
+  }
+  return 0;
+}
+
+// Each call's cut (or, with no cut, the complement of where the feed
+// stands) and the open chunk's length after it, with the bytes fed in
+// blocks of `block` to `next_cut`, which returns both.
+template <typename NextCut>
+std::vector<std::size_t> cuts_fed_in_blocks(std::span<const std::uint8_t> data,
+                                            std::size_t block,
+                                            NextCut&& next_cut) {
+  std::vector<std::size_t> out;
+  for (std::size_t start = 0; start < data.size();) {
+    const std::size_t end = std::min(start + block, data.size());
+    const auto [cut, pending] = next_cut(data.subspan(start, end - start));
+    start = cut == 0 ? end : start + cut;
+    out.push_back(cut == 0 ? ~start : start);
+    out.push_back(pending);
+  }
+  return out;
+}
+
+std::vector<std::size_t> reference_cuts(std::span<const std::uint8_t> data,
+                                        const chunk_params& params,
+                                        std::size_t block) {
+  reference_cut_state s(params);
+  return cuts_fed_in_blocks(data, block, [&](std::span<const std::uint8_t> d) {
+    const std::size_t cut = reference_next_cut(s, d);
+    return std::pair{cut, s.len};
+  });
+}
+
+std::vector<std::size_t> chunker_cuts(std::span<const std::uint8_t> data,
+                                      const chunk_params& params,
+                                      std::size_t block) {
+  stream_chunker ck(params);
+  return cuts_fed_in_blocks(data, block, [&](std::span<const std::uint8_t> d) {
+    const std::size_t cut = ck.next_cut(d);
+    return std::pair{cut, ck.pending()};
+  });
+}
+
+TEST(StreamChunker, CutsMatchTheReferenceWhateverTheFeed) {
+  // Random bytes, zero runs (on which the hash's low bits never vanish, so
+  // max_size forces the cuts; the first is longer than any max_size below)
+  // and a repeated motif.
+  prng rng(606);
+  std::vector<std::uint8_t> data(70000, 0);
+  std::vector<std::uint8_t> motif(700);
+  for (auto& b : motif) b = static_cast<std::uint8_t>(rng.next());
+  while (data.size() < 300000) {
+    switch (rng.below(3)) {
+      case 0:
+        for (std::uint64_t k = 1 + rng.below(20000); k > 0; --k)
+          data.push_back(static_cast<std::uint8_t>(rng.next()));
+        break;
+      case 1:
+        data.insert(data.end(), 1 + rng.below(40000), std::uint8_t{0});
+        break;
+      default:
+        data.insert(data.end(), motif.begin(), motif.end());
+    }
+  }
+  // min_size below, equal to and above the mask width (log2 of the target
+  // rounded up: 8 bits for 256, 12 for 4096, 5 for 32, 6 for 64), and
+  // maxima that force most cuts.
+  const chunk_params params[] = {{1, 1, 1},       {4, 256, 1024},
+                                 {8, 256, 1024},  {9, 256, 1024},
+                                 {1024, 4096, 16384},
+                                 {16, 32, 64},    {64, 64, 64},
+                                 {100, 128, 130}, {5000, 8192, 65536}};
+  for (const chunk_params& p : params) {
+    const auto want = reference_cuts(data, p, data.size());
+    const auto whole = chunk_bytes(data, p);
+    std::size_t forced = 0;
+    for (const chunk_ref& c : whole) forced += c.size == p.max_size;
+    EXPECT_GT(forced, 0u) << "max_size " << p.max_size;
+    for (std::size_t block : {1u, 2u, 3u, 7u, 61u, 1000u, 4096u, 65536u,
+                              120000u}) {
+      EXPECT_EQ(chunker_cuts(data, p, block), reference_cuts(data, p, block))
+          << "min " << p.min_size << ", target " << p.target_size << ", max "
+          << p.max_size << ", block " << block;
+    }
+    std::vector<std::size_t> ends;
+    for (std::size_t k = 0; k + 1 < want.size(); k += 2) {
+      if (want[k] <= data.size()) ends.push_back(want[k]);
+    }
+    if (ends.empty() || ends.back() != data.size()) ends.push_back(data.size());
+    ASSERT_EQ(ends.size(), whole.size()) << "max_size " << p.max_size;
+    for (std::size_t k = 0; k < whole.size(); ++k) {
+      EXPECT_EQ(ends[k], whole[k].offset + whole[k].size) << k;
+    }
   }
 }
 

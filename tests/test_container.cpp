@@ -9,8 +9,10 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <new>
 #include <set>
+#include <stdexcept>
 #include <span>
 #include <sstream>
 #include <string>
@@ -28,6 +30,7 @@
 #include "trace/codec.hpp"
 #include "trace/event.hpp"
 #include "trace/player.hpp"
+#include "trace/recorder.hpp"
 #include "crafted_containers.hpp"
 #include "trace_reference.hpp"
 
@@ -299,60 +302,206 @@ TEST(ContainerWriter, FirstEventIsMonotone) {
   EXPECT_LE(last, ci.event_count);
 }
 
-// The writer cuts its put area a block at a time; its chunk table must be
-// what chunking the whole flat stream at once gives: the same cut points,
-// and per chunk the first event starting in it with that event's offset
-// (or, when none starts in it, the next event's index and the chunk size).
-// The small parameters put several cuts in every block and events across
-// most chunk boundaries.
-TEST(ContainerWriter, ChunkTableMatchesChunkingTheWholeStream) {
-  for (const compress::chunk_params params :
-       {compress::chunk_params{}, compress::chunk_params{16, 32, 64}}) {
-    prng rng(12);
-    const trace::trace_header h{trace::kTraceVersion, 4};
-    std::ostringstream flat(std::ios::binary);
-    std::ostringstream packed(std::ios::binary);
-    std::vector<std::uint64_t> starts;  // where each event's bytes begin
-    {
-      trace::trace_writer w(flat, h);
-      container_writer cw(packed, h, params);
-      for (std::uint32_t i = 0; i < 20000; ++i) {
-        trace::trace_event e{};
-        if (rng.chance(1, 8)) {
-          e.kind = trace::event_kind::spawn;
-          e.fork = {i, i + 1, i + 2, i + 3, i + 4};
-        } else {
-          e.kind = trace::event_kind::read;
-          e.access = {0x7f3a00001000ULL + 4 * rng.below(4096)};
-        }
-        starts.push_back(static_cast<std::uint64_t>(flat.tellp()));
-        w.put(e);
-        cw.put(e);
-      }
-      w.finish();
-      cw.finish();
+// chunk_params beyond the defaults: min_size below, equal to and above the
+// mask width (8 bits for a 256-byte target, 6 for 64), and maxima that force
+// most cuts.
+const compress::chunk_params kExtraParams[] = {
+    {4, 256, 1024}, {8, 256, 1024}, {64, 64, 64}, {100, 128, 130}};
+
+// The writer cuts its chunk buffer a block at a time; its chunk table must
+// be what trace_writer plus chunk_bytes give for the whole flat stream: the
+// same cut points and digests, per chunk the first event starting in it
+// with that event's offset (or, when none starts in it, the next event's
+// index and the chunk size), and a repeated chunk pointing at its first
+// occurrence's stored bytes.
+void expect_chunk_table_like_the_whole_stream(
+    const std::vector<trace::trace_event>& events,
+    const compress::chunk_params& params, const std::string& what) {
+  SCOPED_TRACE(what + ", chunk_params {" + std::to_string(params.min_size) +
+               ", " + std::to_string(params.target_size) + ", " +
+               std::to_string(params.max_size) + "}");
+  const trace::trace_header h{trace::kTraceVersion, 4};
+  std::ostringstream flat(std::ios::binary);
+  std::ostringstream packed(std::ios::binary);
+  std::vector<std::uint64_t> starts;  // where each event's bytes begin
+  {
+    trace::trace_writer w(flat, h);
+    container_writer cw(packed, h, params);
+    for (const trace::trace_event& e : events) {
+      starts.push_back(static_cast<std::uint64_t>(flat.tellp()));
+      w.put(e);
+      cw.put(e);
     }
-    const std::string bytes = flat.str();
-    const auto cuts = compress::chunk_bytes(
-        std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()),
-        params);
-    const container_info ci = info_of(packed.str());
-    ASSERT_EQ(ci.chunks.size(), cuts.size()) << "max_size " << params.max_size;
-    std::size_t next = 0;  // first event starting at or after the chunk
-    for (std::size_t k = 0; k < cuts.size(); ++k) {
-      const std::uint64_t begin = cuts[k].offset;
-      const std::uint64_t end = begin + cuts[k].size;
-      while (next < starts.size() && starts[next] < begin) ++next;
-      const bool starts_here = next < starts.size() && starts[next] < end;
-      EXPECT_EQ(ci.chunks[k].raw_size, cuts[k].size) << "chunk " << k;
-      EXPECT_EQ(ci.chunks[k].first_event, next) << "chunk " << k;
-      EXPECT_EQ(ci.chunks[k].first_offset,
-                starts_here ? starts[next] - begin : cuts[k].size)
+    w.finish();
+    cw.finish();
+    EXPECT_EQ(cw.events_written(), events.size());
+  }
+  const std::string bytes = flat.str();
+  const std::span<const std::uint8_t> raw(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+  const auto cuts = compress::chunk_bytes(raw, params);
+  const container_info ci = info_of(packed.str());
+  ASSERT_EQ(ci.chunks.size(), cuts.size());
+  std::map<compress::sha1_digest, std::size_t> first_seen;
+  std::uint64_t hits = 0;
+  std::size_t next = 0;  // first event starting at or after the chunk
+  for (std::size_t k = 0; k < cuts.size(); ++k) {
+    const chunk_entry& c = ci.chunks[k];
+    const std::uint64_t begin = cuts[k].offset;
+    const std::uint64_t end = begin + cuts[k].size;
+    while (next < starts.size() && starts[next] < begin) ++next;
+    const bool starts_here = next < starts.size() && starts[next] < end;
+    const compress::sha1_digest digest =
+        compress::sha1(raw.subspan(cuts[k].offset, cuts[k].size));
+    EXPECT_EQ(c.raw_size, cuts[k].size) << "chunk " << k;
+    EXPECT_EQ(c.digest, digest) << "chunk " << k;
+    EXPECT_EQ(c.first_event, next) << "chunk " << k;
+    EXPECT_EQ(c.first_offset, starts_here ? starts[next] - begin : cuts[k].size)
+        << "chunk " << k;
+    const auto [first, fresh] = first_seen.emplace(digest, k);
+    if (!fresh) {
+      ++hits;
+      EXPECT_EQ(c.offset, ci.chunks[first->second].offset) << "chunk " << k;
+      EXPECT_EQ(c.stored_size, ci.chunks[first->second].stored_size)
           << "chunk " << k;
     }
-    EXPECT_EQ(unpack_bytes(packed.str()), bytes);
   }
+  EXPECT_EQ(ci.dedup_hits(), hits);
+  EXPECT_EQ(ci.event_count, events.size());
+  EXPECT_EQ(ci.raw_size, bytes.size());
+  EXPECT_EQ(unpack_bytes(packed.str()), bytes);
+}
+
+// Reads and spawns; seeded events of every kind with fields up to their
+// widest; an empty trace; a trace of one event. The small parameters put
+// several cuts in every block and events across most chunk boundaries;
+// with max_size 16 the chunk buffer (two maximum-size chunks plus the
+// longest event encoding) is cut every 16 to 93 bytes, so events also start
+// at every offset before a cut of the buffer.
+TEST(ContainerWriter, ChunkTableMatchesChunkingTheWholeStream) {
+  std::vector<trace::trace_event> reads_and_spawns;
+  prng rng(12);
+  for (std::uint32_t i = 0; i < 20000; ++i) {
+    trace::trace_event e{};
+    if (rng.chance(1, 8)) {
+      e.kind = trace::event_kind::spawn;
+      e.fork = {i, i + 1, i + 2, i + 3, i + 4};
+    } else {
+      e.kind = trace::event_kind::read;
+      e.access = {0x7f3a00001000ULL + 4 * rng.below(4096)};
+    }
+    reads_and_spawns.push_back(e);
+  }
+  const std::vector<trace::trace_event> every_kind =
+      trace::testing::seeded_events(31, 20000);
+  std::vector<compress::chunk_params> params = {
+      compress::chunk_params{}, compress::chunk_params{16, 32, 64},
+      compress::chunk_params{4, 8, 16}};
+  params.insert(params.end(), std::begin(kExtraParams), std::end(kExtraParams));
+  for (const compress::chunk_params& p : params) {
+    expect_chunk_table_like_the_whole_stream(reads_and_spawns, p,
+                                             "reads and spawns");
+    expect_chunk_table_like_the_whole_stream(every_kind, p, "every kind");
+    expect_chunk_table_like_the_whole_stream({}, p, "empty");
+    expect_chunk_table_like_the_whole_stream({every_kind[3]}, p, "one event");
+  }
+}
+
+TEST(ContainerWriter, PutAfterFinishThrows) {
+  std::ostringstream out(std::ios::binary);
+  container_writer cw(out, trace::trace_header{trace::kTraceVersion, 4});
+  const trace::trace_event e = trace::testing::seeded_events(5, 1).front();
+  cw.put(e);
+  cw.finish();
+  EXPECT_THROW(cw.put(e), trace::trace_error);
+  EXPECT_EQ(cw.events_written(), 1u);
+}
+
+TEST(ContainerWriter, RejectsARecorderWithAContradictingGranule) {
+  // The FRDT header is in the chunk stream when the recorder arrives.
+  std::ostringstream out(std::ios::binary);
+  container_writer cw(out, trace::trace_header{trace::kTraceVersion, 4});
+  EXPECT_THROW(trace::trace_recorder rec(cw, 8), trace::trace_error);
+  trace::trace_recorder same(cw, 4);
+}
+
+// The container for `events` written to a stream that fails after `budget`
+// bytes: put() never throws, finish() throws trace_error (the constructor
+// does when the container header does not fit), the destructor stays
+// silent with and without finish() first, and what reached the stream reads
+// as truncated.
+void expect_failed_write_contract(const std::vector<trace::trace_event>& events,
+                                  std::size_t budget, const std::string& what) {
+  SCOPED_TRACE(what + ", budget " + std::to_string(budget));
+  const trace::trace_header h{trace::kTraceVersion, 4};
+  for (const bool finish : {true, false}) {
+    trace::testing::budget_ostream out(budget);
+    if (budget < sizeof(kMagic) + 1) {
+      EXPECT_THROW(container_writer cw(out, h), trace::trace_error);
+      return;
+    }
+    {
+      container_writer cw(out, h);
+      try {
+        for (const trace::trace_event& e : events) cw.put(e);
+      } catch (const std::exception& ex) {
+        ADD_FAILURE() << "put() threw: " << ex.what();
+      }
+      if (finish) {
+        EXPECT_THROW(cw.finish(), trace::trace_error);
+      }
+      // A destructor that threw here would terminate the test.
+    }
+    EXPECT_LE(out.bytes().size(), budget);
+    expect_throws_naming(out.bytes(), "");
+  }
+}
+
+TEST(ContainerWriter, AFailedWriteNeverThrowsFromPutAndFinishThrows) {
+  const std::vector<trace::trace_event> events =
+      trace::testing::seeded_events(23, 30000);
+  std::ostringstream whole(std::ios::binary);
+  {
+    container_writer cw(whole, trace::trace_header{trace::kTraceVersion, 4});
+    for (const trace::trace_event& e : events) cw.put(e);
+    cw.finish();
+  }
+  const std::string full = whole.str();
+  const container_info ci = info_of(full);
+  ASSERT_GE(ci.chunks.size(), 8u);
+  std::uint64_t footer_at = 0;
+  for (int i = 0; i < 8; ++i) {
+    footer_at |= std::uint64_t{static_cast<std::uint8_t>(
+                     full[full.size() - kTrailerSize + i])}
+                 << (8 * i);
+  }
+  const chunk_entry& first = ci.chunks.front();
+  expect_failed_write_contract(events, 2, "inside the container header");
+  expect_failed_write_contract(events, first.offset + first.stored_size / 2,
+                               "inside the first chunk");
+  expect_failed_write_contract(events, (first.offset + footer_at) / 2,
+                               "mid-stream");
+  expect_failed_write_contract(events, footer_at + (full.size() - footer_at) / 2,
+                               "inside the footer");
+  expect_failed_write_contract(events, full.size() - 1, "inside the trailer");
+}
+
+// A writer destroyed while an exception unwinds the recording writes no end
+// marker and no footer, so readers report the container as truncated.
+TEST(ContainerWriter, AWriterDestroyedDuringUnwindingLeavesNoFooter) {
+  const std::vector<trace::trace_event> events =
+      trace::testing::seeded_events(29, 30000);
+  std::ostringstream out(std::ios::binary);
+  try {
+    container_writer cw(out, trace::trace_header{trace::kTraceVersion, 4});
+    for (const trace::trace_event& e : events) cw.put(e);
+    throw std::runtime_error("recording aborted");
+  } catch (const std::runtime_error&) {
+  }
+  const std::string bytes = out.str();
+  ASSERT_GT(bytes.size(), std::size_t{16 << 10}) << "chunks were written";
+  EXPECT_NE(bytes.substr(bytes.size() - 4), std::string(kTrailerMagic, 4));
+  expect_throws_naming(bytes, "trailer magic missing");
 }
 
 // ------------------------------------------------------------- seek index --

@@ -24,10 +24,13 @@
 #include <cctype>
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/session.hpp"
+#include "container/source.hpp"
+#include "container/writer.hpp"
 #include "corpus/manifest.hpp"
 #include "corpus/programs.hpp"
 #include "corpus/runner.hpp"
@@ -174,6 +177,45 @@ std::string case_name(const ::testing::TestParamInfo<online_case>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, OnlineConformance,
                          ::testing::ValuesIn(all_cases()), case_name);
+
+// ------------------------------------------------ recording to .frdtz --
+
+// An online recording to .frdtz runs container_writer::put, and with it the
+// chunk cuts, on the pump thread. The container must replay serially to
+// the online run's own report, as the in-memory recordings above do.
+TEST(OnlineRecording, ContainerWrittenOnThePumpReplaysToTheOnlineReport) {
+  for (const char* name :
+       {"mm-structured-large", "wavefront-structured-large"}) {
+    SCOPED_TRACE(name);
+    const corpus::corpus_entry* e = builtin().find(name);
+    ASSERT_NE(e, nullptr);
+    const corpus::corpus_program* prog = corpus::find_program(e->program);
+    ASSERT_NE(prog, nullptr);
+    std::ostringstream packed(std::ios::binary);
+    fingerprint live;
+    {
+      container::container_writer w(
+          packed, trace::trace_header{trace::kTraceVersion, e->granule});
+      session online(session::options{.backend = "multibags+",
+                                      .granule = e->granule,
+                                      .runtime = runtime_kind::parallel,
+                                      .runtime_workers = 2});
+      online.record_to(w);
+      prog->run(online, e->seed);
+      live = fingerprint_of(online);
+      w.finish();
+    }
+    std::istringstream in(packed.str(), std::ios::binary);
+    container::container_source src(in);
+    EXPECT_GT(src.info().chunks.size(), 8u);
+    session replay(session::options{
+        .backend = "multibags+",
+        .granule = e->granule,
+        .replay_batch = online::engine::config{}.batch_capacity});
+    replay.replay(src);
+    expect_identical(live, fingerprint_of(replay));
+  }
+}
 
 // ------------------------------------------------- worker repeat filter --
 

@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/serial.hpp"
@@ -221,6 +223,79 @@ TEST(TraceCodec, PutAfterFinishThrows) {
   e.kind = event_kind::program_end;
   e.program_end = {0};
   EXPECT_THROW(w.put(e), trace_error);
+}
+
+// The message trace_reader stops with on `bytes`, or "" when it reads them
+// to the end marker.
+std::string reader_error(const std::string& bytes) {
+  try {
+    std::istringstream in(bytes);
+    trace_reader r(in);
+    return drain(r, true).error;
+  } catch (const trace_error& ex) {
+    return ex.what();
+  }
+}
+
+// The writer's bytes for `events`, written to a stream that fails after
+// `budget` bytes: put() never throws, finish() throws trace_error, the
+// destructor stays silent (with and without finish() first), and what
+// reached the stream reads as truncated.
+void expect_failed_write_contract(const std::vector<trace_event>& events,
+                                  std::size_t budget, const std::string& what) {
+  SCOPED_TRACE(what + ", budget " + std::to_string(budget));
+  const trace_header h{kTraceVersion, 4};
+  for (const bool finish : {true, false}) {
+    testing::budget_ostream out(budget);
+    {
+      trace_writer w(out, h);
+      try {
+        for (const trace_event& e : events) w.put(e);
+      } catch (const std::exception& ex) {
+        ADD_FAILURE() << "put() threw: " << ex.what();
+      }
+      if (finish) {
+        EXPECT_THROW(w.finish(), trace_error);
+      }
+      // A destructor that threw here would terminate the test.
+    }
+    EXPECT_LE(out.bytes().size(), budget);
+    EXPECT_NE(reader_error(out.bytes()), "");
+  }
+}
+
+TEST(TraceCodec, AFailedWriteNeverThrowsFromPutAndFinishThrows) {
+  const std::vector<trace_event> events = testing::seeded_events(17, 5000);
+  std::ostringstream whole;
+  {
+    trace_writer w(whole, trace_header{kTraceVersion, 4});
+    for (const trace_event& e : events) w.put(e);
+    w.finish();
+  }
+  const std::size_t size = whole.str().size();
+  ASSERT_GT(size, 20000u);
+  expect_failed_write_contract(events, 0, "nothing fits");
+  expect_failed_write_contract(events, 2, "inside the header");
+  expect_failed_write_contract(events, 7, "at the first event");
+  expect_failed_write_contract(events, size / 2, "mid-stream");
+  expect_failed_write_contract(events, size - 1, "at the end marker");
+}
+
+// A writer destroyed while an exception unwinds the recording writes no end
+// marker, so readers report the trace as truncated.
+TEST(TraceCodec, AWriterDestroyedDuringUnwindingLeavesNoEndMarker) {
+  const std::vector<trace_event> events = testing::seeded_events(19, 3000);
+  std::ostringstream out;
+  try {
+    trace_writer w(out, trace_header{kTraceVersion, 4});
+    for (const trace_event& e : events) w.put(e);
+    throw std::runtime_error("recording aborted");
+  } catch (const std::runtime_error&) {
+  }
+  const decode_outcome got = reference_decode(out.str());
+  EXPECT_EQ(got.events.size(), events.size());
+  EXPECT_NE(got.error, "");
+  EXPECT_NE(reader_error(out.str()), "");
 }
 
 TEST(TraceCodec, JsonlRejectsMalformedLines) {

@@ -4,11 +4,15 @@
 // codec), kept as the reference the span decoder must match event for
 // event and message for message; a way to drain any source the way the
 // trace player does; and seeded traces whose events cross block and chunk
-// boundaries at many offsets.
+// boundaries at many offsets. For the writers: seeded events of every kind
+// with fields at their widest, and an output stream that fails after a
+// given number of bytes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
+#include <ostream>
 #include <span>
 #include <sstream>
 #include <string>
@@ -172,5 +176,72 @@ inline std::string seeded_flat_trace(std::uint64_t seed, int n, int pad = 0) {
   w.finish();
   return out.str();
 }
+
+// `n` seeded events, each kind equally likely, whose fields are 0 to 255,
+// the widest value the field holds (2^32 - 1 for an id, 2^64 - 1 for an
+// address) or anything of a random width in between.
+inline std::vector<trace_event> seeded_events(std::uint64_t seed,
+                                              std::size_t n) {
+  prng rng(seed);
+  std::vector<trace_event> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto kind = static_cast<event_kind>(rng.below(kEventKindCount));
+    const std::uint64_t widest =
+        kind == event_kind::read || kind == event_kind::write ? ~0ULL
+                                                               : 0xFFFFFFFFULL;
+    event_fields f;
+    f.n = field_count(kind);
+    for (int k = 0; k < f.n; ++k) {
+      switch (rng.below(3)) {
+        case 0: f.v[k] = widest; break;
+        case 1: f.v[k] = rng.below(256); break;
+        default: f.v[k] = (rng.next() >> rng.below(64)) & widest;
+      }
+    }
+    out.push_back(event_from(kind, f));
+  }
+  return out;
+}
+
+// An output stream that takes the first `budget` bytes written to it and
+// refuses the rest, as a full disk does: the write that crosses the budget
+// stores what fits and sets badbit.
+class budget_ostream : public std::ostream {
+ public:
+  explicit budget_ostream(std::size_t budget)
+      : std::ostream(nullptr), buf_(budget) {
+    rdbuf(&buf_);
+  }
+  // What reached the stream.
+  const std::string& bytes() const { return buf_.bytes; }
+
+ private:
+  class buffer final : public std::streambuf {
+   public:
+    explicit buffer(std::size_t budget) : budget_(budget) {}
+    std::string bytes;
+
+   protected:
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+      const auto take = std::min<std::size_t>(static_cast<std::size_t>(n),
+                                              budget_ - bytes.size());
+      bytes.append(s, take);
+      return static_cast<std::streamsize>(take);
+    }
+    int_type overflow(int_type ch) override {
+      if (traits_type::eq_int_type(ch, traits_type::eof())) {
+        return traits_type::not_eof(ch);
+      }
+      if (bytes.size() == budget_) return traits_type::eof();
+      bytes.push_back(traits_type::to_char_type(ch));
+      return ch;
+    }
+
+   private:
+    std::size_t budget_;
+  };
+  buffer buf_;
+};
 
 }  // namespace frd::trace::testing
