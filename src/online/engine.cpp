@@ -1,15 +1,16 @@
 // The online detection pump: ring drain + canonical depth-first walk.
 //
-// The walk below is a line-for-line reimplementation of serial_runtime's id
-// minting and listener emission (runtime/serial.hpp) driven by per-node op
-// logs instead of eager execution. Any divergence between the two breaks
-// the subsystem's core invariant — online report == serial replay of the
-// recorded arbitration trace — so changes here must mirror serial.hpp (the
-// conformance cube in tests/test_online.cpp holds both to it).
+// run_walk drives rt::canonical_walk, the walk serial_runtime drives, from
+// per-node op logs instead of eager execution: it forks at a spawn/create
+// record and returns at the child's end record, so its ids and listener
+// events are serial_runtime's by construction. What stays here is online's
+// own: the op logs, the access batch and where it flushes, and the table
+// of finished futures by node id.
 #include "online/engine.hpp"
 
 #include <unordered_map>
 
+#include "runtime/canonical_walk.hpp"
 #include "support/check.hpp"
 #include "support/granule.hpp"
 
@@ -35,7 +36,6 @@ engine::engine(const config& cfg)
       granule_mask_(frd::granule_mask(cfg.granule)) {
   FRD_CHECK_MSG(frd::valid_granule(cfg_.granule),
                 "online engine granule must be a power of two in [1, 4096]");
-  if (cfg_.batch_capacity < 1) cfg_.batch_capacity = 1;
   for (unsigned i = 0; i < sched_.worker_count(); ++i) {
     lanes_.push_back(std::make_unique<lane>(cfg_.ring_capacity));
   }
@@ -225,53 +225,30 @@ void engine::release_log(std::uint32_t node) {
 }
 
 void engine::run_walk() {
-  rt::execution_listener* L = cfg_.listener;
   detect::hooks::access_sink* S = cfg_.sink;
+  rt::canonical_walk walk(cfg_.listener);
 
-  // Canonical id counters — the serial runtime's next_strand_/next_func_.
-  std::uint32_t next_strand = 0;
-  std::uint32_t next_func = 0;
-  rt::strand_id cur = rt::kNoStrand;
-
-  std::vector<walk_frame> stack;
-  std::vector<rt::strand_id> joins;
-  std::unordered_map<std::uint32_t, future_info> futures;  // by online node id
+  // The open function instances, innermost last: each one's online node id
+  // and what the walk minted at its spawn/create (unused for the root).
+  struct open_node {
+    std::uint32_t node;
+    rt::canonical_walk::fork_ids ids;
+  };
+  std::vector<open_node> open_nodes{open_node{0, {}}};
+  // Finished futures by online node id: what ret() returned, for get().
+  std::unordered_map<std::uint32_t, rt::child_record> futures;
 
   std::vector<detect::hooks::access> batch;
-  batch.reserve(cfg_.batch_capacity);
+  batch.reserve(kBatchCapacity);
   const auto flush = [&] {
     if (batch.empty()) return;
     if (S != nullptr) S->on_accesses(batch, cfg_.granule);
     batch.clear();
   };
-  const auto strand_begin = [&](rt::strand_id s, rt::func_id f) {
-    if (L != nullptr) L->on_strand_begin(s, f);
-  };
-  // serial_runtime::sync, verbatim: joins minted in child order, `before`
-  // read prior to reassigning cur, children cleared, last join resumes fn.
-  const auto do_sync = [&](walk_frame& fr) {
-    if (fr.children.empty()) return;
-    joins.clear();
-    for (std::size_t i = 0; i < fr.children.size(); ++i)
-      joins.push_back(next_strand++);
-    if (L != nullptr) {
-      rt::execution_listener::sync_event e{fr.fn, cur, fr.children, joins};
-      L->on_sync(e);
-    }
-    cur = joins.back();
-    fr.children.clear();
-    strand_begin(cur, fr.fn);
-  };
 
-  // serial_runtime::run prologue.
-  const rt::func_id main_fn = next_func++;
-  cur = next_strand++;
-  if (L != nullptr) L->on_program_begin(main_fn, cur);
-  stack.push_back(walk_frame{0, main_fn});
-  strand_begin(cur, main_fn);
-
+  walk.begin();
   while (true) {
-    node_log& log = log_for(stack.back().node);
+    node_log& log = log_for(open_nodes.back().node);
     if (log.cursor >= log.ops.size()) {
       wait_for_records();
       continue;  // log reference may be stale after a resize
@@ -281,46 +258,25 @@ void engine::run_walk() {
       case op::access:
         batch.push_back(detect::hooks::access{
             static_cast<std::uintptr_t>(r.arg), r.is_write != 0});
-        if (batch.size() >= cfg_.batch_capacity) flush();
+        if (batch.size() >= kBatchCapacity) flush();
         break;
 
       case op::spawn:
-      case op::create: {
+      case op::create:
         flush();
         trim_log(log);
-        walk_frame& top = stack.back();
-        const rt::strand_id u = cur;
-        const rt::func_id parent = top.fn;
-        const rt::func_id child = next_func++;
-        const rt::strand_id w = next_strand++;  // child's first strand
-        const rt::strand_id v = next_strand++;  // parent continuation
-        if (L != nullptr) {
-          if (r.kind == op::spawn) {
-            L->on_spawn(parent, u, child, w, v);
-          } else {
-            L->on_create(parent, u, child, w, v);
-          }
-        }
-        walk_frame f;
-        f.node = static_cast<std::uint32_t>(r.arg);
-        f.fn = child;
-        f.fork_u = u;
-        f.first_w = w;
-        f.cont_v = v;
-        f.is_future = r.kind == op::create;
-        stack.push_back(std::move(f));  // descend: child runs to completion
-        cur = w;
-        strand_begin(w, child);
+        // Descend: the child's records are walked to its end first.
+        open_nodes.push_back(open_node{static_cast<std::uint32_t>(r.arg),
+                                       walk.fork(r.kind == op::create)});
         break;
-      }
 
       case op::sync:
-        // A no-op sync (no outstanding children) emits nothing in the
-        // serial runtime, so the recorded trace has no boundary there —
-        // flushing would split a batch the replay keeps whole.
-        if (!stack.back().children.empty()) flush();
+        // A no-op sync (no outstanding children) emits nothing, so the
+        // recorded trace has no boundary there — flushing would split a
+        // batch the replay keeps whole.
+        if (walk.has_children()) flush();
         trim_log(log);
-        do_sync(stack.back());
+        walk.sync();
         break;
 
       case op::get: {
@@ -334,39 +290,21 @@ void engine::run_walk() {
               "in serial order, which is outside the detectors' supported "
               "class (paper S2)");
         }
-        const future_info fi = it->second;
-        walk_frame& top = stack.back();
-        const rt::strand_id u = cur;
-        const rt::func_id fn = top.fn;
-        const rt::strand_id v = next_strand++;
-        if (L != nullptr) L->on_get(fn, u, v, fi.fn, fi.last, fi.creator);
-        cur = v;
-        strand_begin(v, fn);
+        walk.get(it->second);
         break;
       }
 
       case op::end: {
         flush();
-        do_sync(stack.back());  // Cilk's implicit sync (no-op if no children)
-        const rt::strand_id last = cur;
-        if (stack.size() == 1) {
-          if (L != nullptr) L->on_program_end(last);
+        if (open_nodes.size() == 1) {
+          walk.end();
           return;  // walk complete
         }
-        const walk_frame fin = std::move(stack.back());
-        stack.pop_back();
+        const open_node fin = open_nodes.back();
+        open_nodes.pop_back();
         release_log(fin.node);  // `end` is the node's last record
-        walk_frame& parent = stack.back();
-        if (L != nullptr) L->on_return(fin.fn, last, parent.fn);
-        if (fin.is_future) {
-          futures.emplace(fin.node,
-                          future_info{fin.fn, last, fin.fork_u});
-        } else {
-          parent.children.push_back(rt::child_record{
-              fin.fn, fin.fork_u, fin.first_w, last, fin.cont_v});
-        }
-        cur = fin.cont_v;
-        strand_begin(cur, parent.fn);
+        const rt::child_record rec = walk.ret(fin.ids);
+        if (fin.ids.is_future) futures.emplace(fin.node, rec);
         break;
       }
     }

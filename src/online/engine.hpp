@@ -11,9 +11,9 @@
 //                                        │ drain: demux by node id into
 //                                        │ per-node logs (program order)
 //                                        ▼
-//                                 canonical depth-first walk
-//                                        │ re-mints strand/function ids in
-//                                        │ serial_runtime's exact order
+//                                 rt::canonical_walk
+//                                        │ mints strand/function ids: the
+//                                        │ walk serial_runtime drives too
 //                                        ▼
 //                        execution_listener + access_sink (unchanged
 //                        detector / recorder / mux — the serial stack)
@@ -68,12 +68,15 @@ class engine {
     rt::execution_listener* listener = nullptr;  // dag events (detector/mux)
     detect::hooks::access_sink* sink = nullptr;  // accesses (detector/recorder)
     std::size_t ring_capacity = std::size_t{1} << 15;  // records per worker
-    std::size_t batch_capacity = 4096;  // access run per on_accesses call
     // Drop same-window repeat accesses on the workers instead of pushing
     // them (repeat_filter below); elided() counts them. Leave it off when
     // the sink must see every access (a recorder, a sampling detector).
     bool elide_repeats = false;
   };
+
+  // Longest access run the pump hands to one on_accesses call; a replay
+  // given it as its batch capacity batches exactly as the pump does.
+  static constexpr std::size_t kBatchCapacity = 4096;
 
   explicit engine(const config& cfg);
   ~engine();
@@ -190,25 +193,6 @@ class engine {
   struct node_log {
     std::vector<wire_rec> ops;
     std::size_t cursor = 0;
-  };
-
-  // One open function instance of the canonical walk. fork_u/first_w/cont_v
-  // are the strand ids minted at its spawn/create event, completed into the
-  // parent's child_record (or the future table) when `end` is reached.
-  struct walk_frame {
-    std::uint32_t node = 0;
-    rt::func_id fn = rt::kNoFunc;
-    rt::strand_id fork_u = rt::kNoStrand;
-    rt::strand_id first_w = rt::kNoStrand;
-    rt::strand_id cont_v = rt::kNoStrand;
-    bool is_future = false;
-    std::vector<rt::child_record> children;
-  };
-
-  struct future_info {
-    rt::func_id fn;
-    rt::strand_id last;
-    rt::strand_id creator;
   };
 
   lane& my_lane() {

@@ -13,9 +13,9 @@
 // records arrive in its program order even though the ring interleaves many
 // nodes.
 //
-// Canonical strand/function ids are NOT on the wire: the pump re-mints them
-// during its depth-first walk so the emitted event stream is bit-identical
-// to what serial_runtime would have produced (see engine.cpp).
+// Canonical strand/function ids are NOT on the wire: the pump's walk mints
+// them through rt::canonical_walk, the walk serial_runtime drives, so the
+// emitted event stream is serial_runtime's (runtime/canonical_walk.hpp).
 #pragma once
 
 #include <cstdint>

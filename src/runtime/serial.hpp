@@ -4,7 +4,8 @@
 // depth-first eager order* (§2): `spawn` and `create_fut` run the child to
 // completion before the parent's continuation resumes, so a `sync` never
 // waits and a forward-pointing `get_fut` always finds its future finished.
-// This runtime realizes exactly that order, mints strand/function ids, and
+// This runtime realizes exactly that order: each construct drives the
+// canonical walk (canonical_walk.hpp), which mints strand/function ids and
 // streams the dag-growth events of events.hpp to an execution_listener.
 //
 // API sketch (mirrors Cilk + the paper's future primitives):
@@ -25,9 +26,8 @@
 
 #include <optional>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
+#include "runtime/canonical_walk.hpp"
 #include "runtime/events.hpp"
 #include "support/check.hpp"
 
@@ -39,9 +39,7 @@ namespace detail {
 // State shared by future<T> for every payload type.
 struct future_core {
   serial_runtime* rt = nullptr;
-  func_id fn = kNoFunc;
-  strand_id last_strand = kNoStrand;
-  strand_id creator_strand = kNoStrand;  // u at create_fut; structured check
+  child_record joined;  // the walk's record of the future's function
   int touches = 0;
   bool valid = false;
 };
@@ -94,7 +92,7 @@ class future<void> {
 class serial_runtime {
  public:
   explicit serial_runtime(execution_listener* listener = nullptr)
-      : listener_(listener) {}
+      : walk_(listener) {}
   serial_runtime(const serial_runtime&) = delete;
   serial_runtime& operator=(const serial_runtime&) = delete;
 
@@ -118,57 +116,36 @@ class serial_runtime {
                   "(program depends on out-of-order completion)");
   }
 
-  // Runs `root` as the main function of a fresh program; reusable.
+  // Runs `root` as the main function of a fresh program; reusable, also
+  // after a body throws (the exception propagates and the walk is emptied).
   template <typename F>
   void run(F&& root) {
-    FRD_CHECK_MSG(stack_.empty(), "serial_runtime::run is not reentrant");
-    next_strand_ = 0;
-    next_func_ = 0;
-    const func_id main_fn = next_func_++;
-    cur_strand_ = next_strand_++;
-    if (listener_) listener_->on_program_begin(main_fn, cur_strand_);
-    stack_.push_back(frame{main_fn, {}});
-    if (listener_) listener_->on_strand_begin(cur_strand_, main_fn);
-    root();
-    if (!stack_.back().children.empty()) sync();
-    stack_.pop_back();
-    if (listener_) listener_->on_program_end(cur_strand_);
+    FRD_CHECK_MSG(!walk_.open(), "serial_runtime::run is not reentrant");
+    try {
+      walk_.begin();
+      root();
+      walk_.end();
+    } catch (...) {
+      walk_.clear();
+      throw;
+    }
   }
 
   // Spawns child function `f`; logically parallel with the continuation,
   // executed eagerly here. The child joins at the enclosing sync.
   template <typename F>
   void spawn(F&& f) {
-    FRD_CHECK_MSG(!stack_.empty(), "spawn outside run()");
-    const strand_id u = cur_strand_;
-    const func_id parent = stack_.back().fn;
-    const func_id child = next_func_++;
-    const strand_id w = next_strand_++;  // child's first strand
-    const strand_id v = next_strand_++;  // parent's continuation strand
-    if (listener_) listener_->on_spawn(parent, u, child, w, v);
-    const strand_id child_last = run_child(child, w, parent, std::forward<F>(f));
-    stack_.back().children.push_back(child_record{child, u, w, child_last, v});
-    cur_strand_ = v;
-    if (listener_) listener_->on_strand_begin(v, parent);
+    FRD_CHECK_MSG(walk_.open(), "spawn outside run()");
+    const canonical_walk::fork_ids ids = walk_.fork(false);
+    f();
+    walk_.ret(ids);
   }
 
   // Joins every child spawned in the current function scope since the last
   // sync. No-op when there are none (like Cilk's sync).
   void sync() {
-    FRD_CHECK_MSG(!stack_.empty(), "sync outside run()");
-    frame& fr = stack_.back();
-    if (fr.children.empty()) return;
-    join_scratch_.clear();
-    for (std::size_t i = 0; i < fr.children.size(); ++i)
-      join_scratch_.push_back(next_strand_++);
-    if (listener_) {
-      execution_listener::sync_event e{fr.fn, cur_strand_, fr.children,
-                                       join_scratch_};
-      listener_->on_sync(e);
-    }
-    cur_strand_ = join_scratch_.back();
-    fr.children.clear();
-    if (listener_) listener_->on_strand_begin(cur_strand_, fr.fn);
+    FRD_CHECK_MSG(walk_.open(), "sync outside run()");
+    walk_.sync();
   }
 
   // Creates a future running `f` as its own function instance. The future
@@ -176,24 +153,15 @@ class serial_runtime {
   template <typename F>
   auto create_future(F&& f) -> future<std::invoke_result_t<F&>> {
     using R = std::invoke_result_t<F&>;
-    FRD_CHECK_MSG(!stack_.empty(), "create_future outside run()");
-    const strand_id u = cur_strand_;
-    const func_id parent = stack_.back().fn;
-    const func_id child = next_func_++;
-    const strand_id w = next_strand_++;
-    const strand_id v = next_strand_++;
-    if (listener_) listener_->on_create(parent, u, child, w, v);
+    FRD_CHECK_MSG(walk_.open(), "create_future outside run()");
+    const canonical_walk::fork_ids ids = walk_.fork(true);
     future<R> fut;
-    strand_id child_last;
     if constexpr (std::is_void_v<R>) {
-      child_last = run_child(child, w, parent, std::forward<F>(f));
+      f();
     } else {
-      child_last = run_child(child, w, parent,
-                             [&] { fut.value_.emplace(f()); });
+      fut.value_.emplace(f());
     }
-    fut.core_ = detail::future_core{this, child, child_last, u, 0, true};
-    cur_strand_ = v;
-    if (listener_) listener_->on_strand_begin(v, parent);
+    fut.core_ = detail::future_core{this, walk_.ret(ids), 0, true};
     return fut;
   }
 
@@ -206,13 +174,7 @@ class serial_runtime {
     FRD_CHECK_MSG(!single_touch_ || core.touches == 1,
                   "structured futures are single-touch (paper S2); second "
                   "get() on the same handle");
-    const strand_id u = cur_strand_;
-    const func_id fn = stack_.back().fn;
-    const strand_id v = next_strand_++;
-    if (listener_)
-      listener_->on_get(fn, u, v, core.fn, core.last_strand, core.creator_strand);
-    cur_strand_ = v;
-    if (listener_) listener_->on_strand_begin(v, fn);
+    walk_.get(core.joined);
   }
 
   template <typename T>
@@ -221,41 +183,12 @@ class serial_runtime {
   }
   void get(future<void>& fut) { fut.get(); }
 
-  strand_id current_strand() const { return cur_strand_; }
-  func_id current_function() const {
-    return stack_.empty() ? kNoFunc : stack_.back().fn;
-  }
-  std::uint32_t strand_count() const { return next_strand_; }
-  std::uint32_t function_count() const { return next_func_; }
-  execution_listener* listener() const { return listener_; }
+  strand_id current_strand() const { return walk_.current_strand(); }
+  std::uint32_t strand_count() const { return walk_.strand_count(); }
+  execution_listener* listener() const { return walk_.listener(); }
 
  private:
-  struct frame {
-    func_id fn;
-    std::vector<child_record> children;
-  };
-
-  // Runs a child function body eagerly in its own frame; returns the child's
-  // last strand id and fires on_return.
-  template <typename F>
-  strand_id run_child(func_id child, strand_id first, func_id parent, F&& body) {
-    stack_.push_back(frame{child, {}});
-    cur_strand_ = first;
-    if (listener_) listener_->on_strand_begin(first, child);
-    body();
-    if (!stack_.back().children.empty()) sync();  // Cilk's implicit sync
-    const strand_id last = cur_strand_;
-    stack_.pop_back();
-    if (listener_) listener_->on_return(child, last, parent);
-    return last;
-  }
-
-  execution_listener* listener_;
-  std::vector<frame> stack_;
-  std::vector<strand_id> join_scratch_;
-  strand_id cur_strand_ = kNoStrand;
-  std::uint32_t next_strand_ = 0;
-  std::uint32_t next_func_ = 0;
+  canonical_walk walk_;
   bool single_touch_ = false;
 };
 

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <set>
@@ -160,7 +161,7 @@ TEST_P(OnlineConformance, ReportMatchesSerialReplayOfItsOwnRecording) {
   session replay(session::options{
       .backend = c.backend,
       .granule = e->granule,
-      .replay_batch = online::engine::config{}.batch_capacity});
+      .replay_batch = online::engine::kBatchCapacity});
   replay.replay(tape);
   tape.rewind();
   expect_identical(live, fingerprint_of(replay));
@@ -211,7 +212,7 @@ TEST(OnlineRecording, ContainerWrittenOnThePumpReplaysToTheOnlineReport) {
     session replay(session::options{
         .backend = "multibags+",
         .granule = e->granule,
-        .replay_batch = online::engine::config{}.batch_capacity});
+        .replay_batch = online::engine::kBatchCapacity});
     replay.replay(src);
     expect_identical(live, fingerprint_of(replay));
   }
@@ -408,6 +409,38 @@ TEST(OnlineEngine, LogRecordsStayBoundedOverSequentialSpawns) {
   const std::size_t bound = 4 * 2 * kRing + 2048;
   EXPECT_LE(peak_for(500), bound);
   EXPECT_LE(peak_for(5000), bound);
+}
+
+// The pump's one error: a get whose future the walk has not yet returned
+// from. A spawned child gets a future its parent creates after the spawn,
+// which the parallel runtime can run but serial order cannot (the future
+// is not forward-pointing, paper S2). The session runs again after reset().
+TEST(OnlineEngine, AGetBeforeTheFuturesCreationPointIsAnOnlineError) {
+  const auto backward_get = [](online::runtime& rt) {
+    rt.run([&] {
+      std::atomic<online::future<int>*> handle{nullptr};
+      rt.spawn([&] {
+        rt.help_until([&] { return handle.load() != nullptr; });
+        handle.load()->get();
+      });
+      online::future<int> f = rt.create_future([] { return 1; });
+      handle.store(&f);
+      rt.sync();
+    });
+  };
+  static int cell;
+  for (unsigned w : {1u, 2u, 4u}) {
+    session s(session::options{.runtime = runtime_kind::parallel,
+                               .runtime_workers = w});
+    EXPECT_THROW(s.run(backward_get), online::online_error) << "workers " << w;
+    s.reset();
+    s.run([&] {
+      s.write(&cell);
+      s.read(&cell);
+    });
+    EXPECT_EQ(s.access_count(), 2u) << "workers " << w;
+    EXPECT_EQ(s.report().total(), 0u) << "workers " << w;
+  }
 }
 
 // ------------------------------------------------------- serial identity --

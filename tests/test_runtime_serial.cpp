@@ -2,7 +2,9 @@
 // stream shape, future semantics, dag recording.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/dag_recorder.hpp"
@@ -231,6 +233,58 @@ TEST(SerialRuntime, RunIsReusable) {
       rt.sync();
     });
   EXPECT_EQ(total, 3);
+}
+
+// A body that throws mid-walk leaves open frames behind; run() drops them
+// as the exception leaves it, so the next run emits a fresh runtime's
+// event stream.
+TEST(SerialRuntime, RunIsReusableAfterABodyThrows) {
+  struct boom {};
+  const auto program = [](serial_runtime& rt) {
+    rt.run([&] {
+      rt.spawn([&] { rt.spawn([] {}); });
+      auto f = rt.create_future([&] {
+        rt.spawn([] {});
+        return 1;
+      });
+      rt.sync();
+      f.get();
+    });
+  };
+  event_log fresh_log;
+  serial_runtime fresh(&fresh_log);
+  program(fresh);
+
+  const std::vector<std::pair<const char*, std::function<void(serial_runtime&)>>>
+      throwers{
+          {"spawned child",
+           [](serial_runtime& rt) {
+             rt.spawn([&] {
+               rt.spawn([] {});
+               throw boom{};
+             });
+           }},
+          {"future body",
+           [](serial_runtime& rt) {
+             (void)rt.create_future([&]() -> int {
+               rt.spawn([] {});
+               throw boom{};
+             });
+           }},
+          {"root",
+           [](serial_runtime& rt) {
+             rt.spawn([] {});
+             throw boom{};
+           }},
+      };
+  for (const auto& [where, thrower] : throwers) {
+    event_log log;
+    serial_runtime rt(&log);
+    EXPECT_THROW(rt.run([&] { thrower(rt); }), boom) << where;
+    log.lines.clear();
+    program(rt);
+    EXPECT_EQ(log.lines, fresh_log.lines) << where;
+  }
 }
 
 // ------------------------------------------------------- dag recording ---
