@@ -9,8 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "bench/snapshot.hpp"
 #include "runtime/events.hpp"
 #include "shadow/store.hpp"
 #include "support/prng.hpp"
@@ -113,4 +115,16 @@ BENCHMARK(BM_ListenerMuxDispatch)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// The snapshot's context carries the host fingerprint the other benches
+// write (bench/snapshot.hpp), so perf_compare can tell a same-host run.
+int main(int argc, char** argv) {
+  const frd::snapshot::host h = frd::snapshot::this_host();
+  benchmark::AddCustomContext("cpu", h.cpu);
+  benchmark::AddCustomContext("nproc", std::to_string(h.nproc));
+  benchmark::AddCustomContext("build", h.build);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

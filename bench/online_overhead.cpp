@@ -11,24 +11,21 @@
 //            canonical-walk pump, one row per backend.
 //
 // The deliverable is the per-backend overhead factor (online / bare, from
-// the median of the measured runs after one warmup; min/median/stddev all
-// land in the JSON per the bench standard). Kernels validate their answers
+// the medians of the measured runs after one warmup), written with both
+// medians to --json (bench/snapshot.hpp). Kernels validate their answers
 // against the uninstrumented references, and the online rows must report
 // zero races — an overhead number from a detector that mis-detects is not
-// an overhead number, so a racy online row fails the run before any JSON is
-// written. Before anything is timed, a racy canary runs online at every
-// swept width and must report every racy granule a serial run of it does
-// (its golden's 32): a worker filter that dropped first accesses, or hooks
-// that compiled to nothing, fail the run there.
+// an overhead number, so a racy online row fails the run before any
+// snapshot is written. Before anything is timed, a racy canary runs online
+// at every swept width and must report every racy granule a serial run of
+// it does (its golden's 32): a worker filter that dropped first accesses,
+// or hooks that compiled to nothing, fail the run there.
 //
 // On a single-core container every worker count times about the same; the
 // snapshot still fixes the overhead trajectory for hosts with real
 // parallelism.
 #include <cstdio>
 
-#include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -37,6 +34,8 @@
 
 #include "api/session.hpp"
 #include "bench/config.hpp"
+#include "bench/list_flag.hpp"
+#include "bench/snapshot.hpp"
 #include "bench_suite/lcs.hpp"
 #include "bench_suite/mm.hpp"
 #include "corpus/manifest.hpp"
@@ -109,25 +108,40 @@ struct row {
   std::string backend;  // "-" for bare rows
   unsigned workers = 0;
   std::string mode;  // "bare" | "online"
-  double mean_s = 0, min_s = 0, median_s = 0, rsd = 0;
+  double min_s = 0, median_s = 0, rsd = 0;
   double overhead_vs_bare = 0;  // online rows only (vs the bare median)
-  std::uint64_t races = 0;
 };
 
+// At the default sizes a bare run takes 2-10 ms on a 4-core host, too short
+// for one timer sample: such samples swung by up to ±40 %, and every
+// overhead factor divides by them. So the warmup repeats the bare run until
+// it has taken kMinBareSampleSeconds, and each timed sample repeats it as
+// many times back to back and reports the time per run. (Larger inputs
+// would change the fig6/fig7 sizes bench/config.hpp shares.)
+constexpr double kMinBareSampleSeconds = 0.05;
+
 row bench_bare(const program_case& c, unsigned workers, int reps) {
-  std::vector<double> times;
-  for (int r = 0; r < reps + 1; ++r) {
+  int runs = 0;
+  {
     rt::parallel_runtime rt(workers);
     wall_timer t;
-    c.bare(rt, /*instrumented=*/false);
-    if (r > 0) times.push_back(t.seconds());  // first run is warmup
+    do {
+      c.bare(rt, /*instrumented=*/false);
+      ++runs;
+    } while (t.seconds() < kMinBareSampleSeconds);
+  }
+  std::vector<double> times;
+  for (int r = 0; r < reps; ++r) {
+    rt::parallel_runtime rt(workers);
+    wall_timer t;
+    for (int i = 0; i < runs; ++i) c.bare(rt, /*instrumented=*/false);
+    times.push_back(t.seconds() / runs);
   }
   row out;
   out.program = c.name;
   out.backend = "-";
   out.workers = workers;
   out.mode = "bare";
-  out.mean_s = mean(times);
   out.min_s = minimum(times);
   out.median_s = median(times);
   out.rsd = rel_stddev(times);
@@ -157,11 +171,9 @@ row bench_online(const program_case& c, const std::string& backend,
   out.backend = backend;
   out.workers = workers;
   out.mode = "online";
-  out.mean_s = mean(times);
   out.min_s = minimum(times);
   out.median_s = median(times);
   out.rsd = rel_stddev(times);
-  out.races = races;
   return out;
 }
 
@@ -206,37 +218,23 @@ bool online_canary(const std::string& backend,
   return ok;
 }
 
-void write_json(const std::string& path, const std::vector<row>& rows) {
-  std::ofstream json(path);
-  json << "{\n  \"bench\": \"online_overhead\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const row& r = rows[i];
-    json << "    {\"program\": \"" << r.program << "\", \"backend\": \""
-         << r.backend << "\", \"workers\": " << r.workers << ", \"mode\": \""
-         << r.mode << "\", \"mean_seconds\": " << r.mean_s
-         << ", \"min_seconds\": " << r.min_s
-         << ", \"median_seconds\": " << r.median_s
-         << ", \"rel_stddev\": " << r.rsd
-         << ", \"overhead_vs_bare\": " << r.overhead_vs_bare
-         << ", \"races\": " << r.races << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  json.close();  // flush before checking, or buffered failures slip through
-  if (!json) {
-    std::fprintf(stderr, "online_overhead: writing %s failed\n", path.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s\n", path.c_str());
-}
-
-std::vector<std::string> split_names(const std::string& spec) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    if (comma > pos) out.push_back(spec.substr(pos, comma - pos));
-    pos = comma + 1;
+// Every row's median seconds, grouped by mode (bare, or the online
+// backend), and each online row's overhead factor, a ratio of two medians
+// from this run.
+std::vector<snapshot::row> snapshot_rows(const std::vector<row>& rows) {
+  std::vector<snapshot::row> out;
+  for (const row& r : rows) {
+    const std::vector<std::pair<std::string, std::string>> key{
+        {"program", r.program},
+        {"backend", r.backend},
+        {"workers", std::to_string(r.workers)}};
+    const std::string group = r.mode == "bare" ? "bare" : r.backend;
+    out.push_back({"online", group, key, "median_seconds", r.median_s,
+                   snapshot::better::lower});
+    if (r.mode == "online") {
+      out.push_back({"online", group, key, "overhead_vs_bare",
+                     r.overhead_vs_bare, snapshot::better::lower});
+    }
   }
   return out;
 }
@@ -253,27 +251,23 @@ int main(int argc, char** argv) {
   auto& workers_spec = flags.string_flag(
       "workers", "1,4", "comma-separated scheduler widths to sweep");
   auto& json_path = flags.string_flag("json", "BENCH_online_overhead.json",
-                                      "machine-readable output file");
+                                      "snapshot output file");
   flags.parse();
   if (reps < 1) {
     std::fprintf(stderr, "online_overhead: --reps must be >= 1\n");
-    return 1;
+    return 2;
   }
   std::vector<unsigned> widths;
-  for (const std::string& w : split_names(workers_spec)) {
-    const int n = std::atoi(w.c_str());
-    if (n < 1 || n > 256) {
-      std::fprintf(stderr, "online_overhead: bad --workers entry '%s'\n",
-                   w.c_str());
-      return 1;
-    }
-    widths.push_back(static_cast<unsigned>(n));
+  for (const std::int64_t w :
+       list_flag::integers("workers", workers_spec, 1, 256)) {
+    widths.push_back(static_cast<unsigned>(w));
   }
-  const std::vector<std::string> backend_names = split_names(backends);
+  const std::vector<std::string> backend_names =
+      list_flag::names("backends", backends);
   if (widths.empty() || backend_names.empty()) {
     std::fprintf(stderr, "online_overhead: need >= 1 worker width and "
                          "backend\n");
-    return 1;
+    return 2;
   }
 
   if (!online_canary(backend_names.front(), widths)) return 1;
@@ -317,6 +311,6 @@ int main(int argc, char** argv) {
   std::printf("\n== Online detection overhead vs bare parallel (%lld reps) "
               "==\n%s",
               static_cast<long long>(reps), t.render().c_str());
-  write_json(json_path, rows);
+  snapshot::write(json_path, "online_overhead", snapshot_rows(rows));
   return 0;
 }

@@ -14,6 +14,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "corpus/manifest.hpp"
 #include "corpus/programs.hpp"
 #include "corpus/runner.hpp"
+#include "shadow/store.hpp"
 #include "trace/codec.hpp"
 #include "trace/event.hpp"
 
@@ -151,6 +153,68 @@ TEST(CorpusLiveCounts, LiveRunsCountWhatTheGoldenCounts) {
     find_program(e.program)->run(s, e.seed);
     EXPECT_EQ(s.access_count(), golden.accesses) << e.name;
     EXPECT_EQ(s.get_count(), golden.gets) << e.name;
+  }
+}
+
+// ------------------------------------------------------ sampling pin --
+
+// The sampling frontier's detection, pinned. The admit decision is a seeded
+// hash of the versioned trace content (DESIGN.md §8), so these counts are the
+// same on every host, and a change to the default seed, the hash, the policy
+// or what bounded history keeps shows up here. Each cell is the number of
+// golden racy granules a multibags+ replay reports at that point of the
+// replay_throughput frontier sweep.
+constexpr double kPinnedRates[] = {1, 0.5, 0.2, 0.1, 0.05};
+constexpr std::size_t kPinnedDepths[] = {shadow::kUnboundedHistory, 8, 2};
+
+struct frontier_pin {
+  const char* entry;
+  std::size_t golden;
+  std::size_t detected[3][5];  // [depth][rate], in the orders above
+};
+
+constexpr frontier_pin kFrontierPins[] = {
+    {"mm-structured-xl",
+     0,
+     {{0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}}},
+    {"tracking-structured-xl",
+     80,
+     {{80, 37, 19, 7, 3}, {80, 37, 19, 7, 3}, {80, 37, 19, 7, 3}}},
+    {"wavefront-structured-large",
+     32,
+     {{32, 17, 6, 3, 2}, {32, 17, 6, 3, 2}, {32, 17, 6, 3, 2}}},
+};
+
+TEST(SamplingFrontierPin, DetectedGoldenGranulesMatchThePinnedTable) {
+  for (const frontier_pin& pin : kFrontierPins) {
+    const corpus_entry* e = corpus_manifest().find(pin.entry);
+    ASSERT_NE(e, nullptr) << pin.entry;
+    trace::memory_trace tape = load_trace(corpus_dir() + "/" + e->trace_file);
+    const golden_report golden =
+        load_golden(corpus_dir() + "/" + e->golden_file);
+    ASSERT_EQ(golden.racy_granules.size(), pin.golden) << pin.entry;
+    for (std::size_t d = 0; d < std::size(kPinnedDepths); ++d) {
+      for (std::size_t r = 0; r < std::size(kPinnedRates); ++r) {
+        tape.rewind();
+        session s(session::options{.backend = "multibags+",
+                                   .granule = tape.header().granule,
+                                   .sample_rate = kPinnedRates[r],
+                                   .shadow_history_depth = kPinnedDepths[d]});
+        s.replay(tape);
+        const auto& racy = s.report().racy_granules();
+        std::size_t detected = 0;
+        for (const std::uintptr_t g : racy) {
+          detected += golden.racy_granules.count(g);
+        }
+        std::ostringstream at;
+        at << pin.entry << " at rate " << kPinnedRates[r] << ", depth "
+           << (d == 0 ? std::string("unbounded")
+                      : std::to_string(kPinnedDepths[d]));
+        EXPECT_EQ(detected, racy.size())
+            << at.str() << ": reported a granule outside the golden";
+        EXPECT_EQ(detected, pin.detected[d][r]) << at.str();
+      }
+    }
   }
 }
 
