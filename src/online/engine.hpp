@@ -5,18 +5,21 @@
 //
 //   program threads                      pump thread
 //   ---------------                      -----------
-//   online::runtime ops ──► wire_rec ──► per-worker SPSC rings
-//   hooks / session::read ──► router ──► (granulated access records, less
-//                        the same-window repeats each worker's filter drops)
-//                                        │ drain: demux by node id into
-//                                        │ per-node logs (program order)
+//   hooks / session::read ──► router ──► granulated accesses, less the
+//                        same-window repeats each worker's filter drops,
+//                        appended to the worker's private segment
+//   online::runtime ops ──► dag record ──► publish {node, segment run,
+//                        record} as one handle on the worker's SPSC ring
+//                                        │ drain: queue handles per node
+//                                        │ (program order)
 //                                        ▼
 //                                 rt::canonical_walk
 //                                        │ mints strand/function ids: the
 //                                        │ walk serial_runtime drives too
 //                                        ▼
 //                        execution_listener + access_sink (unchanged
-//                        detector / recorder / mux — the serial stack)
+//                        detector / recorder / mux — the serial stack);
+//                        access runs handed over in segment memory
 //
 // The ARBITRATION ORDER over dag events is the canonical depth-first order:
 // each event is sequence-stamped at the point the pump commits it to the
@@ -25,10 +28,12 @@
 // therefore yields a trace whose *serial replay* reproduces the online race
 // report byte-for-byte — the subsystem's conformance oracle (test_online).
 //
-// Liveness: the pump is a dedicated thread, never a scheduler worker. When
-// the walk needs records that have not arrived yet (a stolen child still
-// executing), it drains every ring while it waits, so producers spinning on
-// a full ring always make progress. Untouched futures are executed by
+// Liveness: the pump is a dedicated thread, never a scheduler worker. A
+// worker waits on the pump only when its handle ring is full; when the walk
+// needs handles that have not arrived yet (a stolen child still
+// executing), it drains every ring while it waits, so such a worker always
+// makes progress. A worker short of segment memory allocates a new segment
+// rather than wait for one to come back. Untouched futures are executed by
 // engine::quiesce before the root's `end` record is logged, so the walk
 // always terminates.
 #pragma once
@@ -41,6 +46,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "detect/hooks.hpp"
@@ -67,8 +73,8 @@ class engine {
     std::size_t granule = 4;
     rt::execution_listener* listener = nullptr;  // dag events (detector/mux)
     detect::hooks::access_sink* sink = nullptr;  // accesses (detector/recorder)
-    std::size_t ring_capacity = std::size_t{1} << 15;  // records per worker
-    // Drop same-window repeat accesses on the workers instead of pushing
+    std::size_t ring_capacity = std::size_t{1} << 13;  // handles per worker
+    // Drop same-window repeat accesses on the workers instead of logging
     // them (repeat_filter below); elided() counts them. Leave it off when
     // the sink must see every access (a recorder, a sampling detector).
     bool elide_repeats = false;
@@ -86,19 +92,20 @@ class engine {
   rt::par::scheduler& sched() { return sched_; }
   unsigned worker_count() const { return sched_.worker_count(); }
 
-  // Thread-safe access_sink that granulates and routes into the calling
-  // worker's ring; the session installs it as the hook sink for the run.
+  // Thread-safe access_sink that granulates and appends to the calling
+  // worker's segment; the session installs it as the hook sink for the run.
   detect::hooks::access_sink& router() { return router_; }
 
   // ---- producer side (called from program threads via online::runtime) ----
   std::uint32_t alloc_node() {
     return next_node_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Pushes a dag record to the calling worker's ring; it closes the
-  // worker's repeat-filter window.
-  void log(const wire_rec& r);
-  // Splits an access into granules and pushes one record per granule,
-  // dropping same-window repeats when elide_repeats is on.
+  // Publishes the calling worker's pending accesses closed by a dag record
+  // of its bound node; it closes the worker's repeat-filter window.
+  void log(op kind, std::uint32_t arg = 0);
+  // Splits an access into granules and appends one access per granule to
+  // the worker's segment, dropping same-window repeats when elide_repeats
+  // is on.
   void log_access(const void* p, std::size_t bytes, bool is_write);
   void note_task_started() {
     outstanding_.fetch_add(1, std::memory_order_relaxed);
@@ -109,9 +116,10 @@ class engine {
 
   // Thread-local binding of the function instance currently executing on
   // this thread; task wrappers save/restore it around bodies. Every
-  // binding opens a new repeat-filter window.
+  // binding publishes the worker's pending accesses (they belong to the
+  // previous node) and opens a new repeat-filter window.
   static std::uint32_t current_node();
-  static std::uint32_t bind_node(std::uint32_t node);  // returns previous
+  std::uint32_t bind_node(std::uint32_t node);  // returns previous
 
   void enforce_single_touch(bool on) { single_touch_ = on; }
   bool single_touch() const { return single_touch_; }
@@ -127,9 +135,13 @@ class engine {
   // ---- counters (host thread, once the program has quiesced) ----
   // Accesses the workers dropped as same-window repeats, over all workers.
   std::uint64_t elided() const;
-  // High-water mark of wire records the pump held in its per-node op logs
-  // (valid after finish()).
+  // High-water mark of records (accesses and dag records) in handles the
+  // pump had queued but not yet walked (valid after finish()).
   std::size_t peak_log_records() const { return peak_log_records_; }
+  // High-water mark of the bytes the pump's backlog held: every segment
+  // allocated (published, being filled or pooled), the per-node handle
+  // queues, and the per-node and per-future tables (valid after finish()).
+  std::size_t peak_held_bytes() const { return peak_held_bytes_; }
 
  private:
   class ring_router final : public detect::hooks::access_sink {
@@ -180,32 +192,64 @@ class engine {
     std::array<slot, std::size_t{1} << kSlotBits> slots_{};
   };
 
-  // What one scheduler worker owns (the host is worker 0): its ring to the
-  // pump, its repeat filter, and the filter's drop tally. Only that
-  // worker's thread touches the filter and the tally.
+  // What one scheduler worker owns (the host is worker 0): its handle ring
+  // to the pump, the ring that brings its walked segments back, the segment
+  // it appends to with the run [begin, fill) not yet published, its repeat
+  // filter, and the filter's drop tally. Only that worker's thread touches
+  // the segment cursor, the filter and the tally.
   struct lane {
-    explicit lane(std::size_t ring_capacity) : ring(ring_capacity) {}
-    spsc_ring<wire_rec> ring;
+    lane(unsigned index, std::size_t ring_capacity);
+    ~lane();  // frees the segment being filled and the pooled ones
+    lane(const lane&) = delete;
+    lane& operator=(const lane&) = delete;
+    const unsigned index;
+    spsc_ring<handle> ring;
+    spsc_ring<segment*> spares;
+    segment* seg;
+    std::uint32_t begin = 0;
+    std::uint32_t fill = 0;
     repeat_filter filter;
     std::uint64_t elided = 0;
   };
 
-  struct node_log {
-    std::vector<wire_rec> ops;
+  // One node's queued handles, in program order; the walk reads at cursor.
+  struct node_queue {
+    std::vector<handle> ops;
     std::size_t cursor = 0;
+  };
+
+  // The accesses the walk has taken since its last flush point, at most
+  // kBatchCapacity. While they are one piece of one segment they stay in
+  // place and pin the segment; once they span pieces they are copied.
+  struct access_run {
+    segment* seg = nullptr;  // in place: seg->acc[begin, begin + size)
+    std::uint32_t begin = 0;
+    std::size_t size = 0;
+    std::vector<detect::hooks::access> copy;  // otherwise
   };
 
   lane& my_lane() {
     return *lanes_[rt::par::scheduler::current_worker_index()];
   }
-  void push(lane& l, const wire_rec& r);
+  // The calling thread's lane, set by bind_node: a thread with a bound node
+  // is a worker of the engine that bound it.
+  static thread_local lane* tls_lane_;
+  void publish(lane& l, op kind, std::uint32_t arg);
+  void take_segment(lane& l);
+
   void pump_main();
   void run_walk();
-  std::size_t drain_rings();     // rings -> per-node logs; returns #records
-  void wait_for_records();       // blocks (helping the drain) until progress
-  node_log& log_for(std::uint32_t node);
-  void trim_log(node_log& l);          // drops a long consumed prefix
-  void release_log(std::uint32_t node);  // the node ended: recycle its log
+  std::size_t drain_rings();  // rings -> per-node queues; returns #handles
+  void wait_for_handles();    // blocks (helping the drain) until progress
+  void enqueue(node_queue& q, const handle& h);
+  void trim_queue(node_queue& q);       // drops a long consumed prefix
+  void release_queue(std::uint32_t node);  // the node ended: recycle it
+  void release(segment* s);  // one reference walked; recycles when last
+  void take_run(segment* s, std::uint32_t begin, std::uint32_t count);
+  void flush_run();
+  void spill_run();      // copies an in-place run out of its segment
+  void discard_queued();  // releases every handle the walk did not reach
+  void note_held();       // refreshes the held-bytes high-water mark
 
   config cfg_;
   rt::par::scheduler sched_;
@@ -216,6 +260,9 @@ class engine {
   std::atomic<std::uint32_t> next_node_{0};
   std::atomic<std::uint64_t> outstanding_{0};
   std::atomic<bool> stop_{false};
+  // Segments allocated and not yet freed, over all lanes: workers add, the
+  // pump subtracts when its pool is full.
+  std::atomic<std::size_t> segments_live_{0};
   bool single_touch_ = false;
   bool begun_ = false;
   bool ended_ = false;
@@ -225,12 +272,18 @@ class engine {
   std::exception_ptr pump_error_;  // written by pump, read after join
 
   // Pump-private walk state (touched only by the pump thread). A node's
-  // log is released when the walk leaves the node, and its storage goes to
-  // spare_logs_ for the next node that needs one.
-  std::vector<node_log> logs_;
-  std::vector<std::vector<wire_rec>> spare_logs_;
-  std::size_t log_records_ = 0;       // records held in logs_ now
-  std::size_t peak_log_records_ = 0;  // its high-water mark
+  // queue exists while the node is open or has unwalked handles; its
+  // storage goes to spare_queues_ when the walk leaves the node.
+  std::unordered_map<std::uint32_t, node_queue> queues_;
+  std::vector<std::vector<handle>> spare_queues_;
+  // Finished futures by online node id: what ret() returned, for get().
+  std::unordered_map<std::uint32_t, rt::child_record> futures_;
+  access_run run_;
+  bool sinking_ = false;  // after a walk error: release handles as drained
+  std::size_t queue_slots_ = 0;        // handle capacity of every queue
+  std::size_t log_records_ = 0;        // records in queued handles now
+  std::size_t peak_log_records_ = 0;   // its high-water mark
+  std::size_t peak_held_bytes_ = 0;
 };
 
 }  // namespace frd::online

@@ -1,11 +1,14 @@
 // Bounded single-producer single-consumer ring buffer.
 //
-// One per scheduler worker (producer) with the pump thread as the only
-// consumer. Classic head/tail design with cached counterpart indices so the
-// uncontended fast path is one relaxed load, one store, and one release
-// store per operation. A full ring is backpressure: the producer spins with
-// yield in engine::log — safe because the pump drains every ring whenever it
-// is waiting, so the consumer can never be the one blocked on the producer.
+// Each online worker owns two: one carrying its published handles to the
+// pump, one carrying walked segments back from the pump for reuse. Classic
+// head/tail design with cached counterpart indices so the uncontended fast
+// path is one relaxed load, one store, and one release store per operation.
+// A full handle ring is backpressure: the producer spins with yield in
+// engine::publish — safe because the pump drains every handle ring
+// whenever it is waiting, so the consumer can never be the one blocked on
+// the producer. A full segment ring is not waited on: the pump frees the
+// segment instead.
 #pragma once
 
 #include <atomic>

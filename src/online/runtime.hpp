@@ -2,9 +2,10 @@
 //
 // Mirrors rt::serial_runtime's surface (run / spawn / sync / create_future /
 // get / future_of / enforce_single_touch / quiesce / help_until) on top of
-// the work-stealing scheduler, logging one wire_rec per dag operation into
-// the engine's per-worker rings. Kernels templated on the runtime type run
-// unchanged on serial_runtime, parallel_runtime, or this.
+// the work-stealing scheduler, logging each dag operation through the
+// engine, which publishes it with the worker's pending accesses. Kernels
+// templated on the runtime type run unchanged on serial_runtime,
+// parallel_runtime, or this.
 //
 // Futures are shared-state and copyable (like rt::pfuture): a handle can be
 // stashed in containers and touched from several concurrently executing
@@ -43,11 +44,7 @@ inline void touch_future(engine& eng, std::uint32_t node,
   FRD_CHECK_MSG(!eng.single_touch() || count == 1,
                 "structured futures are single-touch (paper S2); second "
                 "get() on the same handle");
-  wire_rec r;
-  r.node = engine::current_node();
-  r.kind = op::get;
-  r.arg = node;
-  eng.log(r);
+  eng.log(op::get, node);
   eng.sched().wait_future(core);
 }
 
@@ -106,13 +103,10 @@ struct child_task final : rt::par::task {
         parent_(parent),
         fn_(std::move(fn)) {}
   void execute(rt::par::scheduler& sched) override {
-    const std::uint32_t prev = engine::bind_node(node_);
+    const std::uint32_t prev = eng_->bind_node(node_);
     rt::par::run_as_function(sched, pos, fn_);
-    wire_rec r;
-    r.node = node_;
-    r.kind = op::end;
-    eng_->log(r);
-    engine::bind_node(prev);
+    eng_->log(op::end);
+    eng_->bind_node(prev);
     parent_->pending.fetch_sub(1, std::memory_order_release);
     eng_->note_task_finished();
   }
@@ -162,7 +156,7 @@ class runtime {
     eng_.begin_program();
     rt::par::scheduler& s = eng_.sched();
     s.enter_host();
-    const std::uint32_t prev_node = engine::bind_node(0);
+    const std::uint32_t prev_node = eng_.bind_node(0);
     const rt::par::position main_pos;
     rt::par::frame fr(main_pos);
     rt::par::frame* prev_frame = s.swap_current_frame(&fr);
@@ -177,13 +171,13 @@ class runtime {
       if (fr.pending.load(std::memory_order_acquire) != 0) s.wait_frame(fr);
       eng_.quiesce();
       s.swap_current_frame(prev_frame);
-      engine::bind_node(prev_node);
+      eng_.bind_node(prev_node);
       s.leave_host();
       eng_.abort();
       throw;
     }
     s.swap_current_frame(prev_frame);
-    engine::bind_node(prev_node);
+    eng_.bind_node(prev_node);
     s.leave_host();
   }
 
@@ -192,11 +186,7 @@ class runtime {
     rt::par::frame* fr = eng_.sched().current_frame();
     FRD_CHECK_MSG(fr != nullptr, "spawn outside run()");
     const std::uint32_t child = eng_.alloc_node();
-    wire_rec r;
-    r.node = engine::current_node();
-    r.kind = op::spawn;
-    r.arg = child;
-    eng_.log(r);
+    eng_.log(op::spawn, child);
     fr->pending.fetch_add(1, std::memory_order_relaxed);
     eng_.note_task_started();
     eng_.sched().push_task(new detail::child_task<std::decay_t<F>>(
@@ -206,10 +196,7 @@ class runtime {
   void sync() {
     rt::par::frame* fr = eng_.sched().current_frame();
     FRD_CHECK_MSG(fr != nullptr, "sync outside run()");
-    wire_rec r;
-    r.node = engine::current_node();
-    r.kind = op::sync;
-    eng_.log(r);
+    eng_.log(op::sync);
     if (fr->pending.load(std::memory_order_acquire) != 0)
       eng_.sched().wait_frame(*fr);
   }
@@ -229,7 +216,7 @@ class runtime {
     st->core.run_body = [st = st.get(),
                          fn = std::make_shared<std::decay_t<F>>(
                              std::forward<F>(f))](rt::par::scheduler& sched) {
-      const std::uint32_t prev = engine::bind_node(st->node);
+      const std::uint32_t prev = st->eng->bind_node(st->node);
       auto body = [&] {
         if constexpr (std::is_void_v<R>) {
           (*fn)();
@@ -238,18 +225,11 @@ class runtime {
         }
       };
       rt::par::run_as_function(sched, st->core.pos, body);
-      wire_rec r;
-      r.node = st->node;
-      r.kind = op::end;
-      st->eng->log(r);
-      engine::bind_node(prev);
+      st->eng->log(op::end);
+      st->eng->bind_node(prev);
       st->core.mark_done();
     };
-    wire_rec r;
-    r.node = engine::current_node();
-    r.kind = op::create;
-    r.arg = st->node;
-    eng_.log(r);
+    eng_.log(op::create, st->node);
     eng_.note_task_started();
     eng_.sched().push_task(
         new detail::future_task<detail::fstate<R>>(st, &eng_));

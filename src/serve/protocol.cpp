@@ -27,8 +27,13 @@ std::uint64_t get_field(std::span<const std::uint8_t> p, std::size_t& pos,
   }
 }
 
-void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
-  compress::put_varint(out, s.size());
+void put_varint(payload_bytes& out, std::uint64_t v) {
+  std::uint8_t b[10];
+  out.insert(out.end(), b, compress::put_varint(b, v));
+}
+
+void put_string(payload_bytes& out, std::string_view s) {
+  put_varint(out, s.size());
   out.insert(out.end(), s.begin(), s.end());
 }
 
@@ -70,78 +75,78 @@ std::string_view to_string(error_code c) {
 
 // -------------------------------------------------------------- encoders --
 
-std::vector<std::uint8_t> encode(const hello_msg& m) {
-  std::vector<std::uint8_t> p;
-  compress::put_varint(p, m.version);
+payload_bytes encode(const hello_msg& m) {
+  payload_bytes p;
+  put_varint(p, m.version);
   return p;
 }
 
-std::vector<std::uint8_t> encode(const hello_ok_msg& m) {
-  std::vector<std::uint8_t> p;
-  compress::put_varint(p, m.version);
-  compress::put_varint(p, m.default_budget);
-  compress::put_varint(p, m.max_data_chunk);
+payload_bytes encode(const hello_ok_msg& m) {
+  payload_bytes p;
+  put_varint(p, m.version);
+  put_varint(p, m.default_budget);
+  put_varint(p, m.max_data_chunk);
   return p;
 }
 
-std::vector<std::uint8_t> encode(const stream_open_msg& m) {
-  std::vector<std::uint8_t> p;
-  compress::put_varint(p, m.stream_id);
+payload_bytes encode(const stream_open_msg& m) {
+  payload_bytes p;
+  put_varint(p, m.stream_id);
   put_string(p, m.backend);
   put_string(p, m.store);
-  compress::put_varint(p, m.budget);
+  put_varint(p, m.budget);
   return p;
 }
 
-std::vector<std::uint8_t> encode(const race_msg& m) {
-  std::vector<std::uint8_t> p;
-  compress::put_varint(p, m.stream_id);
-  compress::put_varint(p, m.granule_addr);
-  compress::put_varint(p, m.prior);
-  compress::put_varint(p, m.prior_is_write);
-  compress::put_varint(p, m.current);
-  compress::put_varint(p, m.current_is_write);
+payload_bytes encode(const race_msg& m) {
+  payload_bytes p;
+  put_varint(p, m.stream_id);
+  put_varint(p, m.granule_addr);
+  put_varint(p, m.prior);
+  put_varint(p, m.prior_is_write);
+  put_varint(p, m.current);
+  put_varint(p, m.current_is_write);
   return p;
 }
 
-std::vector<std::uint8_t> encode(const stream_done_msg& m) {
-  std::vector<std::uint8_t> p;
-  compress::put_varint(p, m.stream_id);
-  compress::put_varint(p, m.granule);
-  compress::put_varint(p, m.events);
-  compress::put_varint(p, m.accesses);
-  compress::put_varint(p, m.gets);
-  compress::put_varint(p, m.violations);
-  compress::put_varint(p, m.races_total);
-  compress::put_varint(p, m.racy_granules.size());
-  for (const std::uint64_t g : m.racy_granules) compress::put_varint(p, g);
-  compress::put_varint(p, m.store_bytes);
-  compress::put_varint(p, m.store_pages);
-  compress::put_varint(p, m.report_retained);
-  compress::put_varint(p, m.report_capacity);
-  compress::put_varint(p, m.query_cache_bytes);
+payload_bytes encode(const stream_done_msg& m) {
+  payload_bytes p;
+  put_varint(p, m.stream_id);
+  put_varint(p, m.granule);
+  put_varint(p, m.events);
+  put_varint(p, m.accesses);
+  put_varint(p, m.gets);
+  put_varint(p, m.violations);
+  put_varint(p, m.races_total);
+  put_varint(p, m.racy_granules.size());
+  for (const std::uint64_t g : m.racy_granules) put_varint(p, g);
+  put_varint(p, m.store_bytes);
+  put_varint(p, m.store_pages);
+  put_varint(p, m.report_retained);
+  put_varint(p, m.report_capacity);
+  put_varint(p, m.query_cache_bytes);
   return p;
 }
 
-std::vector<std::uint8_t> encode(const error_msg& m) {
-  std::vector<std::uint8_t> p;
-  compress::put_varint(p, m.stream_id);
-  compress::put_varint(p, static_cast<std::uint32_t>(m.code));
+payload_bytes encode(const error_msg& m) {
+  payload_bytes p;
+  put_varint(p, m.stream_id);
+  put_varint(p, static_cast<std::uint32_t>(m.code));
   put_string(p, m.message);
   return p;
 }
 
-std::vector<std::uint8_t> encode_trace_data(
+payload_bytes encode_trace_data(
     std::uint64_t stream_id, std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> p;
-  compress::put_varint(p, stream_id);
+  payload_bytes p;
+  put_varint(p, stream_id);
   p.insert(p.end(), bytes.begin(), bytes.end());
   return p;
 }
 
-std::vector<std::uint8_t> encode_stream_close(std::uint64_t stream_id) {
-  std::vector<std::uint8_t> p;
-  compress::put_varint(p, stream_id);
+payload_bytes encode_stream_close(std::uint64_t stream_id) {
+  payload_bytes p;
+  put_varint(p, stream_id);
   return p;
 }
 

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -86,9 +87,35 @@ class io_error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// An allocator whose value-less construct default-initializes: growing a
+// vector with it leaves the new elements unwritten instead of zeroing them.
+template <typename T>
+struct default_init_allocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = default_init_allocator<U>;
+  };
+  default_init_allocator() = default;
+  template <typename U>
+  default_init_allocator(const default_init_allocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+// Frame payload bytes. frame_io::read_frame sizes a payload and then reads
+// the socket into it, so each byte is written once, not zeroed first.
+using payload_bytes =
+    std::vector<std::uint8_t, default_init_allocator<std::uint8_t>>;
+
 struct frame {
   frame_type type = frame_type::error;
-  std::vector<std::uint8_t> payload;
+  payload_bytes payload;
 };
 
 // ------------------------------------------------------- typed payloads --
@@ -147,16 +174,16 @@ struct error_msg {
 
 // Encoders produce the frame payload (no length prefix, no type byte);
 // decoders parse one and throw protocol_error naming the defect.
-std::vector<std::uint8_t> encode(const hello_msg& m);
-std::vector<std::uint8_t> encode(const hello_ok_msg& m);
-std::vector<std::uint8_t> encode(const stream_open_msg& m);
-std::vector<std::uint8_t> encode(const race_msg& m);
-std::vector<std::uint8_t> encode(const stream_done_msg& m);
-std::vector<std::uint8_t> encode(const error_msg& m);
+payload_bytes encode(const hello_msg& m);
+payload_bytes encode(const hello_ok_msg& m);
+payload_bytes encode(const stream_open_msg& m);
+payload_bytes encode(const race_msg& m);
+payload_bytes encode(const stream_done_msg& m);
+payload_bytes encode(const error_msg& m);
 // trace_data / stream_close payloads are trivial enough to build inline:
-std::vector<std::uint8_t> encode_trace_data(std::uint64_t stream_id,
-                                            std::span<const std::uint8_t> bytes);
-std::vector<std::uint8_t> encode_stream_close(std::uint64_t stream_id);
+payload_bytes encode_trace_data(std::uint64_t stream_id,
+                                std::span<const std::uint8_t> bytes);
+payload_bytes encode_stream_close(std::uint64_t stream_id);
 
 hello_msg decode_hello(std::span<const std::uint8_t> p);
 hello_ok_msg decode_hello_ok(std::span<const std::uint8_t> p);

@@ -245,7 +245,7 @@ void server::connection_loop(conn_ptr conn) {
   struct open_stream {
     std::string backend;
     std::uint64_t budget = 0;
-    std::vector<std::uint8_t> bytes;  // trace bytes from bytes[skip] on
+    payload_bytes bytes;  // trace bytes from bytes[skip] on
     std::size_t skip = 0;
   };
   std::unordered_map<std::uint64_t, open_stream> open;

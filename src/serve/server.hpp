@@ -126,7 +126,7 @@ class server {
     std::uint64_t stream_id = 0;
     std::string backend;
     std::uint64_t budget = 0;  // bytes; 0 = unlimited
-    std::vector<std::uint8_t> bytes;
+    payload_bytes bytes;
     std::size_t skip = 0;
     std::span<const std::uint8_t> trace() const {
       return std::span<const std::uint8_t>(bytes).subspan(skip);

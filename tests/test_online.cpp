@@ -381,12 +381,12 @@ TEST(OnlineFilterModes, AWriteAfterAReadIsNeverDropped) {
   });
 }
 
-// The pump frees a node's op log when the walk leaves the node, trims the
+// The pump frees a node's queue when the walk leaves the node, trims the
 // consumed prefix of long-lived ones, and never drains more than a ring's
 // capacity per ring at once: a long program of sequential spawns holds a
 // bounded number of records however long it runs.
 TEST(OnlineEngine, LogRecordsStayBoundedOverSequentialSpawns) {
-  constexpr std::size_t kRing = 256;
+  constexpr std::size_t kRing = 64;
   const auto peak_for = [](int spawns) {
     online::engine eng(online::engine::config{.workers = 2,
                                               .ring_capacity = kRing});
@@ -403,12 +403,102 @@ TEST(OnlineEngine, LogRecordsStayBoundedOverSequentialSpawns) {
     eng.finish();
     return eng.peak_log_records();
   };
-  // Every run logs 66 records per spawn; the bound does not grow with the
-  // run: the walk's backlog (a ring's worth per worker per drain) plus the
-  // root's untrimmed prefix.
-  const std::size_t bound = 4 * 2 * kRing + 2048;
+  // Every run logs 67 records per spawn in three handles: the root's spawn
+  // and sync, and the child's 64 writes closed by its end. The bound does
+  // not grow with the run: the walk drains only when it runs dry, a drain
+  // takes at most a ring's capacity of handles per worker, and a handle
+  // here carries at most 65 records; allow two drains' worth.
+  const std::size_t bound = 2 * (2 * kRing) * 65;
   EXPECT_LE(peak_for(500), bound);
   EXPECT_LE(peak_for(5000), bound);
+}
+
+// The pump keeps a node's queue only while the node is open or has unwalked
+// handles, drops a structured future's entry once its one get is walked,
+// and returns walked segments to a bounded pool: over a long run of
+// sequential spawns, or of single-touch futures, the bytes it holds do not
+// grow with the run.
+TEST(OnlineEngine, HeldBytesStayBoundedOverSequentialSpawnsAndFutures) {
+  const auto peak_for = [](int n, bool futures) {
+    online::engine eng(online::engine::config{.workers = 1,
+                                              .ring_capacity = 256});
+    online::runtime rt(eng);
+    rt.enforce_single_touch(true);
+    static int cell;
+    const auto body = [&eng] { eng.router().on_write(&cell, sizeof cell); };
+    rt.run([&] {
+      for (int i = 0; i < n; ++i) {
+        if (futures) {
+          online::future<int> f = rt.create_future([&] {
+            body();
+            return 0;
+          });
+          f.get();
+          // A leapfrogged future's task stays queued until a worker pops
+          // it; draining now and then keeps the runtime's own memory small.
+          if (i % 1000 == 999) rt.quiesce();
+        } else {
+          rt.spawn([&] { body(); });
+          rt.sync();
+        }
+      }
+    });
+    eng.finish();
+    return eng.peak_held_bytes();
+  };
+  for (const bool futures : {false, true}) {
+    SCOPED_TRACE(futures ? "futures" : "spawns");
+    const std::size_t short_run = peak_for(10000, futures);
+    const std::size_t long_run = peak_for(100000, futures);
+    EXPECT_GT(short_run, 0u);
+    // Per-node or per-future state kept for the whole run would add at
+    // least 90,000 entries between the two runs.
+    EXPECT_LE(long_run, short_run + 256 * 1024);
+    EXPECT_LE(long_run, std::size_t{4} << 20);
+  }
+}
+
+// One window longer than a batch and than a segment, with a no-op sync in
+// it, after children that run inline at their parent's sync (node switches
+// on one worker). Every read in the window has a different prior writer
+// every 16 cells, so cutting the run anywhere issues one more reachability
+// batch: the pump must batch exactly as the serial replay of its recording.
+TEST(OnlineEngine, RunsAcrossSegmentBoundariesBatchLikeTheReplay) {
+  constexpr std::size_t kBlock = 16;
+  constexpr std::size_t kCells =
+      (online::engine::kBatchCapacity + online::segment::kAccesses + 1000) /
+      kBlock * kBlock;
+  static std::array<int, kCells> cells;
+  const auto program = [](session& s) {
+    s.run([&](auto& rt) {
+      rt.run([&] {
+        for (std::size_t b = 0; b < kCells; b += kBlock) {
+          rt.spawn([&s, b] {
+            for (std::size_t i = b; i < b + kBlock; ++i) s.write(&cells[i]);
+          });
+        }
+        rt.sync();
+        for (std::size_t i = 0; i < kCells; ++i) {
+          if (i == kCells / 2) rt.sync();  // no outstanding children
+          s.read(&cells[i]);
+        }
+      });
+    });
+  };
+  for (unsigned w : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(w));
+    trace::memory_trace tape(trace::trace_header{trace::kTraceVersion, 4});
+    session online(session::options{.runtime = runtime_kind::parallel,
+                                    .runtime_workers = w});
+    online.record_to(tape);
+    program(online);
+    EXPECT_EQ(online.access_count(), 2 * kCells);
+    EXPECT_EQ(online.report().total(), 0u);
+    session replay(session::options{
+        .replay_batch = online::engine::kBatchCapacity});
+    replay.replay(tape);
+    expect_identical(fingerprint_of(online), fingerprint_of(replay));
+  }
 }
 
 // The pump's one error: a get whose future the walk has not yet returned
