@@ -58,14 +58,6 @@ std::uint64_t container_info::dedup_saved_raw_bytes() const {
   return saved;
 }
 
-bool container_info::seekable() const {
-  if (container_version < 2) return false;
-  for (const chunk_entry& c : chunks) {
-    if (c.first_offset == kNoFirstOffset) return false;
-  }
-  return true;
-}
-
 double container_info::compression_ratio(std::uint64_t file_size) const {
   return file_size ? static_cast<double>(raw_size) /
                          static_cast<double>(file_size)
@@ -84,24 +76,19 @@ void encode_footer(std::vector<std::uint8_t>& out, const container_info& info) {
     compress::put_varint(out, c.stored_size);
     compress::put_varint(out, c.raw_size);
     compress::put_varint(out, c.first_event);
-    // The seek index arrived in v2; encoding tracks info.container_version
-    // so a round trip through parse_footer is layout-identical for both
-    // generations (the v1 back-compat tests depend on this symmetry).
-    if (info.container_version >= 2) compress::put_varint(out, c.first_offset);
+    compress::put_varint(out, c.first_offset);
     out.push_back(static_cast<std::uint8_t>(c.encoding));
     out.insert(out.end(), c.digest.begin(), c.digest.end());
   }
 }
 
 container_info parse_footer(const std::vector<std::uint8_t>& footer,
-                            std::uint64_t footer_offset,
-                            std::uint32_t container_version) {
+                            std::uint64_t footer_offset) {
   if (footer.size() < 4 ||
       std::memcmp(footer.data(), kFooterMagic, 4) != 0) {
     corrupt("footer magic missing (the chunk index is unreadable)");
   }
   container_info info;
-  info.container_version = container_version;
   std::size_t pos = 4;
   const std::span<const std::uint8_t> f(footer);
   info.inner_version =
@@ -124,9 +111,7 @@ container_info parse_footer(const std::vector<std::uint8_t>& footer,
     c.stored_size = footer_varint(f, pos, "chunk stored size");
     c.raw_size = footer_varint(f, pos, "chunk raw size");
     c.first_event = footer_varint(f, pos, "chunk first event");
-    c.first_offset = container_version >= 2
-                         ? footer_varint(f, pos, "chunk first offset")
-                         : kNoFirstOffset;
+    c.first_offset = footer_varint(f, pos, "chunk first offset");
     if (pos >= footer.size()) corrupt("chunk table is truncated");
     const std::uint8_t enc = footer[pos++];
     if (enc > 1) {
@@ -153,7 +138,7 @@ container_info parse_footer(const std::vector<std::uint8_t>& footer,
     if (c.first_event < last_first_event) {
       corrupt("chunk " + std::to_string(i) + " event range goes backwards");
     }
-    if (container_version >= 2 && c.first_offset > c.raw_size) {
+    if (c.first_offset > c.raw_size) {
       corrupt("chunk " + std::to_string(i) + " seek offset " +
               std::to_string(c.first_offset) + " lands past its " +
               std::to_string(c.raw_size) + " raw bytes");
@@ -194,16 +179,13 @@ container_info read_container_info(std::istream& in) {
     throw trace_error(
         "not a FutureRD trace container: bad magic (expected \"FRDZ\")");
   }
+  // The version varint is one byte for version 2; anything else, a
+  // continuation bit included, is a version this build does not read.
   const int version = in.get();
-  // The version varint is a single byte for every version this build could
-  // meet; a continuation bit set means a far-future format.
-  if (version < 0 || (version & 0x80) != 0 ||
-      static_cast<std::uint32_t>(version) < kMinContainerVersion ||
-      static_cast<std::uint32_t>(version) > kContainerVersion) {
+  if (version != static_cast<int>(kContainerVersion)) {
     throw trace_error("unsupported trace container version " +
                       std::to_string(version & 0x7f) +
-                      " (this build reads versions " +
-                      std::to_string(kMinContainerVersion) + ".." +
+                      " (this build reads version " +
                       std::to_string(kContainerVersion) + ")");
   }
 
@@ -237,9 +219,7 @@ container_info read_container_info(std::istream& in) {
   if (in.gcount() != static_cast<std::streamsize>(footer.size())) {
     corrupt("footer read cut short (truncated container)");
   }
-  container_info info = parse_footer(footer, footer_offset,
-                                     static_cast<std::uint32_t>(version));
-  return info;
+  return parse_footer(footer, footer_offset);
 }
 
 bool looks_like_container(std::istream& in) {

@@ -24,13 +24,13 @@
 //                                   this chunk (events may span boundaries;
 //                                   chunk i covers events
 //                                   [first_event, next.first_event))
-//              varint first_offset  (container version >= 2) byte offset
-//                                   inside the RAW chunk where that event's
-//                                   encoding starts; == raw_size when no
-//                                   event starts in this chunk. first_event
-//                                   alone names the chunk; first_offset is
-//                                   what makes it decodable mid-stream —
-//                                   together they are the seek index behind
+//              varint first_offset  byte offset inside the RAW chunk where
+//                                   that event's encoding starts; ==
+//                                   raw_size when no event starts in this
+//                                   chunk. first_event alone names the
+//                                   chunk; first_offset is what makes it
+//                                   decodable mid-stream — together they
+//                                   are the seek index behind
 //                                   container_source::seek_to_event.
 //              1 byte encoding      0 = raw, 1 = LZ
 //              20 bytes             SHA-1 of the raw chunk bytes
@@ -55,10 +55,8 @@ namespace frd::container {
 inline constexpr char kMagic[4] = {'F', 'R', 'D', 'Z'};
 inline constexpr char kFooterMagic[4] = {'F', 'R', 'D', 'X'};
 inline constexpr char kTrailerMagic[4] = {'Z', 'E', 'N', 'D'};
-// Version history: v1 had no per-chunk first_offset (seeking meant decoding
-// the whole prefix); v2 added it. This build writes v2 and reads both.
+// The one container version this build writes and reads.
 inline constexpr std::uint32_t kContainerVersion = 2;
-inline constexpr std::uint32_t kMinContainerVersion = 1;
 inline constexpr std::size_t kTrailerSize = 12;  // u64 offset + 4-byte magic
 // Largest chunk, raw or stored, a container may hold: four times the
 // chunker's default 16 KiB maximum. The reader rejects a footer that
@@ -69,19 +67,13 @@ inline constexpr std::uint64_t kMaxChunkSize = 64 << 10;
 
 enum class chunk_encoding : std::uint8_t { raw = 0, lz = 1 };
 
-// Sentinel for chunk_entry::first_offset in a v1 container, where the field
-// does not exist on disk: "unknown", distinct from the == raw_size encoding
-// of "no event starts here".
-inline constexpr std::uint64_t kNoFirstOffset = ~std::uint64_t{0};
-
 struct chunk_entry {
   std::uint64_t offset = 0;       // absolute file offset of the stored bytes
   std::uint64_t stored_size = 0;  // bytes on disk
   std::uint64_t raw_size = 0;     // decompressed size
   std::uint64_t first_event = 0;  // first event starting in this chunk
   // Byte offset of event `first_event` inside the raw chunk; raw_size when
-  // no event starts in this chunk, kNoFirstOffset when read from a v1
-  // container (which did not record it).
+  // no event starts in this chunk.
   std::uint64_t first_offset = 0;
   chunk_encoding encoding = chunk_encoding::lz;
   compress::sha1_digest digest{};  // of the RAW chunk bytes
@@ -90,11 +82,6 @@ struct chunk_entry {
 // Everything the footer says about a container, plus derived totals — the
 // writer produces it, the reader parses it, `frd-trace stats` prints it.
 struct container_info {
-  std::uint32_t container_version = kContainerVersion;
-  // True when every chunk carries a usable first_offset — i.e. this is a v2+
-  // container and container_source::seek_to_event can jump instead of
-  // decoding the prefix.
-  bool seekable() const;
   std::uint32_t inner_version = trace::kTraceVersion;
   std::uint32_t granule = 4;
   std::uint64_t event_count = 0;
@@ -115,14 +102,12 @@ struct container_info {
 // Serializes the footer (magic through the last table entry) into `out`.
 void encode_footer(std::vector<std::uint8_t>& out, const container_info& info);
 
-// Parses and validates a footer blob (as delimited by the trailer) laid out
-// per `container_version` — v1 entries lack first_offset. Throws
+// Parses and validates a footer blob (as delimited by the trailer). Throws
 // trace::trace_error naming the defect: bad footer magic, truncated table,
-// a chunk whose stored bytes land outside [header_end, footer_offset), or
-// one larger than kMaxChunkSize.
+// a chunk whose stored bytes land outside [header_end, footer_offset), a
+// seek offset past its chunk, or a chunk larger than kMaxChunkSize.
 container_info parse_footer(const std::vector<std::uint8_t>& footer,
-                            std::uint64_t footer_offset,
-                            std::uint32_t container_version = kContainerVersion);
+                            std::uint64_t footer_offset);
 
 // Reads the container header + trailer + footer of a seekable stream and
 // returns the validated info; the stream is left positioned arbitrarily.

@@ -104,39 +104,32 @@ void container_source::seek_to_event(std::uint64_t n) {
                       " past the end of a " +
                       std::to_string(info_.event_count) + "-event container");
   }
-  if (info_.seekable() && !info_.chunks.empty()) {
-    // Largest chunk whose first STARTING event is <= n and in which an event
-    // actually starts (first_offset < raw_size; start-free chunks only
-    // continue a spanning event), or chunk 0 when no later chunk is.
-    std::size_t lo = 0;
-    for (std::size_t i = 1; i < info_.chunks.size(); ++i) {
-      const chunk_entry& c = info_.chunks[i];
-      if (c.first_event > n) break;
-      if (c.first_offset < c.raw_size) lo = i;
-    }
-    const chunk_entry& c = info_.chunks[lo];
-    if (c.first_offset == c.raw_size) {
-      // No event starts in chunk 0 or in any chunk that could hold event n,
-      // so the trace has none: decoding resumes after the header, at the
-      // end marker.
-      next_chunk_ = 0;
-      decoder_.restart({});
-      (void)decoder_.read_header();
-      events_ = 0;
-    } else {
-      const std::span<const std::uint8_t> chunk =
-          load_chunk(file_, c, lo, buf_);
-      next_chunk_ = lo + 1;
-      decoder_.restart(chunk.subspan(static_cast<std::size_t>(c.first_offset)));
-      events_ = c.first_event;
-    }
-  } else if (n < events_) {
-    throw trace_error(
-        "cannot seek backwards in a version-1 trace container (no byte "
-        "index); repack it with `frd-trace pack` to gain the seek index");
+  // Largest chunk whose first STARTING event is <= n and in which an event
+  // actually starts (first_offset < raw_size; start-free chunks only
+  // continue a spanning event), or chunk 0 when no later chunk is. The
+  // constructor read the inner header from chunk 0, so there is one.
+  std::size_t lo = 0;
+  for (std::size_t i = 1; i < info_.chunks.size(); ++i) {
+    const chunk_entry& c = info_.chunks[i];
+    if (c.first_event > n) break;
+    if (c.first_offset < c.raw_size) lo = i;
   }
-  // Decode-and-discard up to the target: at most one chunk's worth of events
-  // when the jump above ran, the whole remaining prefix on the v1 fallback.
+  const chunk_entry& c = info_.chunks[lo];
+  if (c.first_offset == c.raw_size) {
+    // No event starts in chunk 0 or in any chunk that could hold event n,
+    // so the trace has none: decoding resumes after the header, at the end
+    // marker.
+    next_chunk_ = 0;
+    decoder_.restart({});
+    (void)decoder_.read_header();
+    events_ = 0;
+  } else {
+    const std::span<const std::uint8_t> chunk = load_chunk(file_, c, lo, buf_);
+    next_chunk_ = lo + 1;
+    decoder_.restart(chunk.subspan(static_cast<std::size_t>(c.first_offset)));
+    events_ = c.first_event;
+  }
+  // Decode-and-discard the rest of the way: at most one chunk's events.
   trace::trace_event e;
   while (events_ < n) {
     if (!next(e)) {

@@ -55,12 +55,10 @@ class container_source final : public trace::trace_source,
   std::span<const trace::trace_event> access_run(std::size_t max) override;
 
   // Positions the source so the NEXT next() call delivers event `n` (which
-  // may equal event_count: positioned at end). In a v2 container this jumps
-  // via the footer's per-chunk first_event/first_offset index and decodes at
-  // most one chunk's worth of events to land exactly on `n` — the prefix is
-  // never read. A v1 container has no byte index, so seeking degrades to
-  // decoding forward from the current position (and seeking backwards
-  // throws, suggesting a repack). Throws trace_error when `n` lies past the
+  // may equal event_count: positioned at end), forwards or backwards. It
+  // jumps via the footer's per-chunk first_event/first_offset index and
+  // decodes at most one chunk's worth of events to land exactly on `n` —
+  // the prefix is never read. Throws trace_error when `n` lies past the
   // declared event count.
   void seek_to_event(std::uint64_t n);
 

@@ -118,7 +118,7 @@ std::vector<std::string> check_backend(trace::memory_trace& tape,
 trace::memory_trace load_trace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw corpus_error("cannot open trace '" + path + "'");
-  // Auto-detects flat binary, JSONL, and .frdtz containers.
+  // Auto-detects flat binary traces and .frdtz containers.
   auto reader = trace::open_source(in);
   trace::memory_trace tape(reader->header());
   trace::trace_event e;

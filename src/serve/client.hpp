@@ -2,7 +2,7 @@
 //
 // One client = one connection (hello handshake in the constructor) that can
 // submit any number of trace streams sequentially. submit() ships the trace
-// bytes (auto-detected .frdt / .frdtz / JSONL — the bytes are opaque to the
+// bytes (auto-detected .frdt / .frdtz — the bytes are opaque to the
 // protocol), then collects the server's race frames (encounter order) and
 // the stream_done summary into a submit_result whose golden_report is
 // byte-identical, through corpus::write_golden, to what an offline

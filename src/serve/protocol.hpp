@@ -28,7 +28,7 @@
 // (acknowledged with shutdown_ok, then the listener closes).
 //
 // The trace bytes inside trace_data are opaque to the protocol: the server
-// sniffs .frdt / .frdtz / JSONL exactly like `frd-trace run` does.
+// sniffs .frdt / .frdtz exactly like `frd-trace run` does.
 #pragma once
 
 #include <cstdint>

@@ -300,186 +300,9 @@ void jsonl_writer::put(const trace_event& e) {
   ++events_;
 }
 
-namespace {
-
-// Strict scanner for the flat one-line objects this codec emits:
-// string keys, values that are unsigned integers, `true`/`false`, or
-// strings. No nesting, no floats, no escapes beyond none.
-class line_parser {
- public:
-  line_parser(const std::string& s, std::uint64_t line) : s_(s), line_(line) {}
-
-  struct member {
-    std::string key;
-    std::string str;        // set when is_string
-    std::uint64_t num = 0;  // set otherwise (true -> 1, false -> 0)
-    bool is_string = false;
-  };
-
-  std::vector<member> parse() {
-    std::vector<member> out;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++i_;
-      return out;
-    }
-    while (true) {
-      member m;
-      m.key = parse_string();
-      expect(':');
-      skip_ws();
-      if (peek() == '"') {
-        m.str = parse_string();
-        m.is_string = true;
-      } else if (s_.compare(i_, 4, "true") == 0) {
-        m.num = 1;
-        i_ += 4;
-      } else if (s_.compare(i_, 5, "false") == 0) {
-        m.num = 0;
-        i_ += 5;
-      } else {
-        m.num = parse_number();
-      }
-      out.push_back(std::move(m));
-      skip_ws();
-      if (peek() == ',') {
-        ++i_;
-        continue;
-      }
-      expect('}');
-      break;
-    }
-    return out;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw trace_error("malformed JSONL trace at line " + std::to_string(line_) +
-                      ": " + what);
-  }
-  void skip_ws() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t')) ++i_;
-  }
-  char peek() {
-    if (i_ >= s_.size()) fail("unexpected end of line");
-    return s_[i_];
-  }
-  void expect(char c) {
-    skip_ws();
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++i_;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (i_ >= s_.size()) fail("unterminated string");
-      const char c = s_[i_++];
-      if (c == '"') return out;
-      if (c == '\\') fail("escape sequences are not part of this format");
-      out.push_back(c);
-    }
-  }
-  std::uint64_t parse_number() {
-    if (peek() < '0' || peek() > '9') fail("expected a number");
-    std::uint64_t v = 0;
-    while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') {
-      const std::uint64_t digit = static_cast<std::uint64_t>(s_[i_++] - '0');
-      if (v > (UINT64_MAX - digit) / 10) fail("number overflows 64 bits");
-      v = v * 10 + digit;
-    }
-    return v;
-  }
-
-  const std::string& s_;
-  std::uint64_t line_;
-  std::size_t i_ = 0;
-};
-
-event_kind kind_of_name(const std::string& name, std::uint64_t line) {
-  for (int k = 0; k < kEventKindCount; ++k) {
-    if (name == to_string(static_cast<event_kind>(k))) {
-      return static_cast<event_kind>(k);
-    }
-  }
-  throw trace_error("malformed JSONL trace at line " + std::to_string(line) +
-                    ": unknown event \"" + name + "\"");
-}
-
-}  // namespace
-
-jsonl_reader::jsonl_reader(std::istream& in) : in_(in) {
-  std::string line;
-  if (!std::getline(in_, line)) {
-    throw trace_error("not a FutureRD JSONL trace: empty input");
-  }
-  bool tagged = false, versioned = false, granuled = false;
-  std::uint64_t version = 0, granule = 0;
-  for (const auto& m : line_parser(line, 1).parse()) {
-    if (m.key == "frd_trace" && !m.is_string && m.num == 1) tagged = true;
-    if (m.key == "version" && !m.is_string) {
-      version = m.num;
-      versioned = true;
-    }
-    if (m.key == "granule" && !m.is_string) {
-      granule = m.num;
-      granuled = true;
-    }
-  }
-  if (!tagged || !versioned || !granuled) {
-    throw trace_error(
-        "not a FutureRD JSONL trace: first line must carry frd_trace, "
-        "version, and granule");
-  }
-  check_version(version);
-  check_granule(granule);
-  header_.version = static_cast<std::uint32_t>(version);
-  header_.granule = static_cast<std::uint32_t>(granule);
-}
-
-bool jsonl_reader::next(trace_event& e) {
-  std::string line;
-  while (std::getline(in_, line)) {
-    ++line_;
-    if (line.empty()) continue;
-    auto members = line_parser(line, line_).parse();
-    if (members.empty() || members.front().key != "ev" ||
-        !members.front().is_string) {
-      throw trace_error("malformed JSONL trace at line " +
-                        std::to_string(line_) +
-                        ": every event line must start with \"ev\"");
-    }
-    const event_kind kind = kind_of_name(members.front().str, line_);
-    event_fields f;
-    f.n = field_count(kind);
-    const char* const* names = field_names(kind);
-    for (int i = 0; i < f.n; ++i) {
-      bool found = false;
-      for (std::size_t m = 1; m < members.size(); ++m) {
-        if (members[m].key == names[i] && !members[m].is_string) {
-          f.v[i] = members[m].num;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        throw trace_error("malformed JSONL trace at line " +
-                          std::to_string(line_) + ": missing field \"" +
-                          names[i] + "\"");
-      }
-    }
-    e = event_from(kind, f);
-    return true;
-  }
-  return false;
-}
-
 // -------------------------------------------------------------------- sniff --
 
 std::unique_ptr<trace_source> open_source(std::istream& in) {
-  const int first = in.peek();
-  if (first == '{') return std::make_unique<jsonl_reader>(in);
   if (container::looks_like_container(in))
     return std::make_unique<container::container_source>(in);
   return std::make_unique<trace_reader>(in);

@@ -1,4 +1,5 @@
-// Trace codecs: a versioned binary format and a line-oriented JSONL format.
+// Trace codecs: the versioned binary format every trace is read from, and a
+// line-oriented JSONL rendering that `frd-trace dump` writes for reading.
 //
 // Binary layout (little-endian, LEB128 varints):
 //
@@ -10,14 +11,14 @@
 //                            field_names(kind) order
 //   end       1 byte         0xFF (explicit, so truncation is detectable)
 //
-// JSONL: the first line is a header object
+// JSONL (written, never read back): the first line is a header object
 //   {"frd_trace":true,"version":1,"granule":4}
 // and every following line is one event object
 //   {"ev":"spawn","parent":0,"u":0,"child":1,"w":1,"v":2}
-// Blank lines are ignored. Both readers throw trace_error on bad magic,
-// unsupported version, truncation, or malformed events; both writers must be
-// finish()ed (the destructor finishes on the happy path, but errors from a
-// destructor are swallowed — call finish() when you care).
+// The reader throws trace_error on bad magic, unsupported version,
+// truncation, or malformed events; both writers must be finish()ed (the
+// destructor finishes on the happy path, but errors from a destructor are
+// swallowed — call finish() when you care).
 #pragma once
 
 #include <cstddef>
@@ -203,20 +204,8 @@ class jsonl_writer final : public trace_sink {
   std::uint64_t events_ = 0;
 };
 
-class jsonl_reader final : public trace_source {
- public:
-  explicit jsonl_reader(std::istream& in);
-
-  const trace_header& header() const override { return header_; }
-  bool next(trace_event& e) override;
-
- private:
-  std::istream& in_;
-  trace_header header_;
-  std::uint64_t line_ = 1;  // header consumed in the constructor
-};
-
-// Sniffs the stream (binary magic vs '{') and returns the matching reader.
+// Sniffs the stream (container magic or not) and returns the matching
+// reader: container::container_source for a .frdtz, trace_reader otherwise.
 std::unique_ptr<trace_source> open_source(std::istream& in);
 
 }  // namespace frd::trace

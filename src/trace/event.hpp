@@ -11,17 +11,18 @@
 //   on_sync    carries spans into runtime-owned scratch; it becomes one
 //              sync_begin{fn, before, count} followed by exactly `count`
 //              sync_child events, each pairing children[i] (spawn order)
-//              with join_strands[i] (span order). The player rebuilds both
-//              spans positionally, so the binary-join reversal documented in
-//              events.hpp is preserved bit-for-bit.
+//              with join_strands[i] (span order). The player checks them
+//              positionally against the sync its canonical walk emits, so
+//              the binary-join reversal documented in events.hpp is
+//              preserved bit-for-bit.
 //   accesses   are granule-normalized at record time: one read/write event
 //              per touched granule, carrying the granule's base address.
 //              The recording granule lives in the trace_header; replaying
 //              under the same granule reproduces the exact shadow behavior.
 //
-// Sinks and sources are sink-agnostic seams: trace_writer/jsonl_writer and
-// trace_reader/jsonl_reader (codec.hpp) stream to/from bytes, memory_trace
-// keeps events in RAM for tests and replay benches.
+// Sinks and sources are sink-agnostic seams: trace_writer and trace_reader
+// (codec.hpp) stream to/from bytes, jsonl_writer renders events for
+// reading, memory_trace keeps events in RAM for tests and replay benches.
 #pragma once
 
 #include <cstdint>
@@ -139,7 +140,8 @@ struct event_fields {
 };
 
 int field_count(event_kind k);
-// Field names in encoding order, for the JSONL codec (and `frd-trace dump`).
+// Field names in encoding order, for jsonl_writer (`frd-trace dump`) and
+// replay's error messages.
 const char* const* field_names(event_kind k);
 event_fields fields_of(const trace_event& e);
 // Validates ranges (32-bit ids must fit); throws trace_error otherwise.

@@ -1,7 +1,11 @@
 #include "trace/player.hpp"
 
+#include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
+
+#include "runtime/canonical_walk.hpp"
 
 namespace frd::trace {
 
@@ -21,6 +25,133 @@ std::uintptr_t checked_address(std::uint64_t addr) {
   return static_cast<std::uintptr_t>(addr);
 }
 
+// `kind{field value, ...}`, for the messages below.
+std::string describe(const trace_event& e) {
+  std::string out(to_string(e.kind));
+  const event_fields f = fields_of(e);
+  const char* const* names = field_names(e.kind);
+  out += '{';
+  for (int i = 0; i < f.n; ++i) {
+    if (i > 0) out += ", ";
+    out += names[i];
+    out += ' ';
+    out += std::to_string(f.v[i]);
+  }
+  out += '}';
+  return out;
+}
+
+[[noreturn]] void reject(std::uint64_t index, const trace_event& held,
+                         const std::string& walk) {
+  throw trace_error("trace event " + std::to_string(index) +
+                    " is not the canonical walk's: the trace holds " +
+                    describe(held) + ", the walk " + walk);
+}
+
+// The listener the player hands the walk. Each event the walk emits is
+// compared with the trace's next event (the one that selected the step
+// first) and reaches `next` only when the two are equal.
+class walk_check final : public rt::execution_listener {
+ public:
+  walk_check(trace_source& src, rt::execution_listener* next,
+             std::uint64_t& events)
+      : src_(src), next_(next), events_(events) {}
+
+  // The step's first event, already taken from the source.
+  void select(const trace_event& e) {
+    held_ = e;
+    selected_ = true;
+  }
+
+  void on_program_begin(rt::func_id f, rt::strand_id s) override {
+    expect(event_kind::program_begin, {f, s});
+    if (next_) next_->on_program_begin(f, s);
+  }
+  void on_program_end(rt::strand_id s) override {
+    expect(event_kind::program_end, {s});
+    if (next_) next_->on_program_end(s);
+  }
+  void on_strand_begin(rt::strand_id s, rt::func_id f) override {
+    expect(event_kind::strand_begin, {s, f});
+    if (next_) next_->on_strand_begin(s, f);
+  }
+  void on_spawn(rt::func_id p, rt::strand_id u, rt::func_id c,
+                rt::strand_id w, rt::strand_id v) override {
+    expect(event_kind::spawn, {p, u, c, w, v});
+    if (next_) next_->on_spawn(p, u, c, w, v);
+  }
+  void on_create(rt::func_id p, rt::strand_id u, rt::func_id c,
+                 rt::strand_id w, rt::strand_id v) override {
+    expect(event_kind::create, {p, u, c, w, v});
+    if (next_) next_->on_create(p, u, c, w, v);
+  }
+  void on_return(rt::func_id c, rt::strand_id last, rt::func_id p) override {
+    expect(event_kind::ret, {c, last, p});
+    if (next_) next_->on_return(c, last, p);
+  }
+  void on_sync(const sync_event& e) override {
+    expect(event_kind::sync_begin,
+           {e.fn, e.before, static_cast<std::uint32_t>(e.children.size())});
+    for (std::size_t i = 0; i < e.children.size(); ++i) {
+      const rt::child_record& c = e.children[i];
+      expect(event_kind::sync_child,
+             {c.child, c.fork_strand, c.child_first, c.child_last,
+              c.cont_first, e.join_strands[i]});
+    }
+    if (next_) next_->on_sync(e);
+  }
+  void on_get(rt::func_id fn, rt::strand_id u, rt::strand_id v,
+              rt::func_id fut, rt::strand_id w,
+              rt::strand_id creator) override {
+    expect(event_kind::get, {fn, u, v, fut, w, creator});
+    if (next_) next_->on_get(fn, u, v, fut, w, creator);
+  }
+
+ private:
+  // Takes the trace's next event and holds it to the walk's: kind `k` with
+  // `ids` in wire order. A dag event's fields are 32-bit ids laid out from
+  // the start of trace_event's union (event.hpp), so they compare as bytes.
+  // Kept small so it inlines into each callback, where the compare has a
+  // constant size; the messages are built out of line.
+  void expect(event_kind k, std::initializer_list<std::uint32_t> ids) {
+    if (!selected_) {
+      if (!src_.next(held_)) trace_ends(events_, k, ids);
+      ++events_;
+    }
+    selected_ = false;
+    if (held_.kind != k ||
+        std::memcmp(&held_.get, ids.begin(),
+                    ids.size() * sizeof(std::uint32_t)) != 0) {
+      diverges(events_ - 1, held_, k, ids);
+    }
+  }
+  static trace_event walk_event(event_kind k,
+                                std::initializer_list<std::uint32_t> ids) {
+    trace_event e;
+    e.kind = k;
+    std::memcpy(&e.get, ids.begin(), ids.size() * sizeof(std::uint32_t));
+    return e;
+  }
+  [[noreturn]] static void diverges(std::uint64_t index,
+                                    const trace_event& held, event_kind k,
+                                    std::initializer_list<std::uint32_t> ids) {
+    reject(index, held, "emits " + describe(walk_event(k, ids)));
+  }
+  [[noreturn]] static void trace_ends(
+      std::uint64_t index, event_kind k,
+      std::initializer_list<std::uint32_t> ids) {
+    throw trace_error("trace ends at event " + std::to_string(index) +
+                      " inside a step of the canonical walk, which emits " +
+                      describe(walk_event(k, ids)) + " next");
+  }
+
+  trace_source& src_;
+  rt::execution_listener* next_;
+  std::uint64_t& events_;
+  trace_event held_;
+  bool selected_ = false;
+};
+
 }  // namespace
 
 trace_player::stats trace_player::play(rt::execution_listener* listener,
@@ -37,8 +168,6 @@ trace_player::stats trace_player::play(
       (every_events && checkpoint) ? every_events : 0;
   prefiltered_ = 0;
   stats st;
-  std::vector<rt::child_record> children;
-  std::vector<rt::strand_id> joins;
   // Access runs accumulate here and flush as one on_accesses call before
   // any dag event fires, so the sink observes accesses and dag events in
   // true program order — the batching is invisible except in dispatch cost.
@@ -71,19 +200,40 @@ trace_player::stats trace_player::play(
     batch[filled++] = detect::hooks::access{addr, ev.kind == event_kind::write};
     if (filled == batch_capacity_) flush();
   };
+  // Checkpoints land between walk steps: after an access run, a lone
+  // access, or a whole step.
+  const auto maybe_checkpoint = [&] {
+    if (next_checkpoint && st.events >= next_checkpoint) {
+      st.prefiltered = prefiltered_;
+      checkpoint(st);
+      next_checkpoint = st.events + every_events;
+    }
+  };
+
+  walk_check check(src_, listener, st.events);
+  rt::canonical_walk walk(&check);
+  // The forks the walk has open, innermost last, and the record of every
+  // future that has returned, by its function id (the walk mints them
+  // densely from 0).
+  std::vector<rt::canonical_walk::fork_ids> forks;
+  std::vector<rt::child_record> futures;
+  enum class phase { before, running, ended } at = phase::before;
+  const auto outside_program = [&at]() -> std::string {
+    return at == phase::before ? "has not begun the program"
+                               : "has ended the program";
+  };
+
   trace_event e;
   for (;;) {
     // Bulk fast path: whole access runs come back as views
     // (trace_source::access_run), iterated in place — no per-event virtual
     // dispatch. memory_trace hands out its storage; the binary readers
     // decode a run into storage of their own and end it early at a block
-    // boundary, where the next() path below takes one event. Checkpoints
-    // land at run boundaries (runs are at most batch_capacity_ long, well
-    // inside any useful cadence) and still never inside a flattened sync
-    // run.
+    // boundary, where the next() path below takes one event.
     for (;;) {
       const std::span<const trace_event> run = src_.access_run(batch_capacity_);
       if (run.empty()) break;
+      if (at != phase::running) reject(st.events, run[0], outside_program());
       st.events += run.size();
       st.accesses += run.size();
       if (!prefilter_.armed) {
@@ -111,94 +261,80 @@ trace_player::stats trace_player::play(
         }
         prefiltered_ += dropped;
       }
-      if (next_checkpoint && st.events >= next_checkpoint) {
-        st.prefiltered = prefiltered_;
-        checkpoint(st);
-        next_checkpoint = st.events + every_events;
-      }
+      maybe_checkpoint();
     }
     if (!src_.next(e)) break;
-    ++st.events;
-    if (next_checkpoint && st.events >= next_checkpoint) {
-      st.prefiltered = prefiltered_;
-      checkpoint(st);
-      next_checkpoint = st.events + every_events;
-    }
+    const std::uint64_t index = st.events++;
     if (e.kind == event_kind::read || e.kind == event_kind::write) {
+      if (at != phase::running) reject(index, e, outside_program());
       ++st.accesses;
       push_access(e);
+      maybe_checkpoint();
       continue;
     }
     flush();
+    if (e.kind == event_kind::program_begin) {
+      if (at != phase::before) {
+        reject(index, e,
+               at == phase::running ? "has already begun the program"
+                                    : "has ended the program");
+      }
+    } else if (at != phase::running) {
+      reject(index, e, outside_program());
+    }
+    check.select(e);
     switch (e.kind) {
       case event_kind::program_begin:
-        if (listener) {
-          listener->on_program_begin(e.program_begin.main_fn,
-                                     e.program_begin.first);
-        }
-        break;
-      case event_kind::program_end:
-        if (listener) listener->on_program_end(e.program_end.last);
-        break;
-      case event_kind::strand_begin:
-        if (listener) {
-          listener->on_strand_begin(e.strand_begin.s, e.strand_begin.owner);
-        }
+        walk.begin();
+        at = phase::running;
         break;
       case event_kind::spawn:
-        if (listener) {
-          listener->on_spawn(e.fork.parent, e.fork.u, e.fork.child, e.fork.w,
-                             e.fork.v);
-        }
-        break;
       case event_kind::create:
-        if (listener) {
-          listener->on_create(e.fork.parent, e.fork.u, e.fork.child, e.fork.w,
-                              e.fork.v);
-        }
+        forks.push_back(walk.fork(e.kind == event_kind::create));
         break;
-      case event_kind::ret:
-        if (listener) listener->on_return(e.ret.child, e.ret.last, e.ret.parent);
-        break;
-      case event_kind::sync_begin: {
-        const rt::func_id fn = e.sync_begin.fn;
-        const rt::strand_id before = e.sync_begin.before;
-        const std::uint32_t count = e.sync_begin.count;
-        children.clear();
-        joins.clear();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          if (!src_.next(e) || e.kind != event_kind::sync_child) {
-            throw trace_error(
-                "malformed trace: sync_begin announced " +
-                std::to_string(count) + " children but child " +
-                std::to_string(i) + " is missing");
-          }
-          ++st.events;
-          children.push_back(rt::child_record{
-              e.sync_child.child, e.sync_child.fork_strand,
-              e.sync_child.child_first, e.sync_child.child_last,
-              e.sync_child.cont_first});
-          joins.push_back(e.sync_child.join_strand);
-        }
-        if (listener) {
-          rt::execution_listener::sync_event se{fn, before, children, joins};
-          listener->on_sync(se);
+      case event_kind::ret: {
+        if (forks.empty()) reject(index, e, "has no open fork to return from");
+        const rt::canonical_walk::fork_ids ids = forks.back();
+        forks.pop_back();
+        const rt::child_record rec = walk.ret(ids);
+        if (ids.is_future) {
+          if (rec.child >= futures.size()) futures.resize(rec.child + 1);
+          futures[rec.child] = rec;
         }
         break;
       }
-      case event_kind::sync_child:
-        throw trace_error(
-            "malformed trace: sync_child outside a sync_begin run");
-      case event_kind::get:
-        if (listener) {
-          listener->on_get(e.get.fn, e.get.u, e.get.v, e.get.fut, e.get.w,
-                           e.get.creator);
+      case event_kind::sync_begin:
+        if (!walk.has_children()) {
+          reject(index, e, "has no spawned child to sync");
         }
+        walk.sync();
         break;
+      case event_kind::get: {
+        const rt::func_id fut = e.get.fut;
+        if (fut >= futures.size() || futures[fut].child != fut) {
+          reject(index, e,
+                 "has no returned future " + std::to_string(fut) + " to get");
+        }
+        walk.get(futures[fut]);
+        break;
+      }
+      case event_kind::program_end:
+        if (!forks.empty()) {
+          reject(index, e,
+                 "has " + std::to_string(forks.size()) +
+                     " forks open, which return before the program ends");
+        }
+        walk.end();
+        at = phase::ended;
+        break;
+      case event_kind::strand_begin:
+      case event_kind::sync_child:
+        reject(index, e, "emits it only inside a step it has begun");
       case event_kind::read:
       case event_kind::write:
-        break;  // handled (batched) before the switch
+        break;  // handled (batched) above
     }
+    maybe_checkpoint();
   }
   flush();
   st.prefiltered = prefiltered_;

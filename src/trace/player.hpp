@@ -1,23 +1,34 @@
-// trace_player: re-emits a stored trace into any execution_listener +
+// trace_player: replays a stored trace into any execution_listener +
 // access_sink pair — detection without executing user code.
 //
-// The player is the inverse of trace_recorder: flattened sync_begin /
-// sync_child runs are reassembled into a single sync_event (children in
-// spawn order, join strands in span order) before on_sync fires, so a
-// replayed backend observes a stream bit-identical to the live one.
+// Replay runs rt::canonical_walk, as serial_runtime and the online pump do:
+// the player never re-emits the ids a trace carries.
+// Each dag event instead selects one walk step —
+//
+//   program_begin  begin()         spawn / create  fork()
+//   return         ret() of the innermost open fork
+//   sync_begin     sync()          get             get() of a returned future
+//   program_end    end()
+//
+// — and each event the walk emits reaches the listener only after it equals
+// the trace's next event. A trace the walk would not have produced (a
+// strand id it did not mint, a return with no open fork, a get of a future
+// that has not returned, a sync whose children differ, a step cut short)
+// is a trace_error naming the event index, what the trace holds and what
+// the walk emits; so a backend only ever sees ids the walk minted. The
+// check runs once per dag event and never per access, and it runs with or
+// without a listener.
 //
 // Access events are BATCHED: a run of consecutive read/write events (the
 // dominant shape of real traces — kernels issue long access runs between
-// dag events) is accumulated and handed to the sink as one
-// on_accesses(span) call instead of one virtual on_read/on_write per
-// event. Each batch element carries the recorded granule base address; the
-// batch's byte width is the header's granule. Replaying under the same
-// granule reproduces the live shadow behavior — and therefore the race
-// report — exactly. (The sink's ACCESS COUNT can exceed the live run's: an
-// access that spanned g granules was recorded as g events and replays as g
-// batch elements, so per-access tallies like detector::access_count() are
-// upper bounds under replay, while every granule-keyed result is
-// identical.)
+// dag events) is handed to the sink as one on_accesses(span) call instead
+// of one virtual on_read/on_write per event. Each batch element carries the
+// recorded granule base address; the batch's byte width is the header's
+// granule. An access counts once per granule on every path (live hooks,
+// online records, replay), so replaying under the recording granule
+// reproduces the live run's report and its counters exactly. Accesses
+// outside program_begin..program_end are rejected like any other malformed
+// input.
 #pragma once
 
 #include <cstdint>
@@ -65,18 +76,19 @@ class trace_player {
   // from here on the exception path too).
   std::uint64_t prefiltered_so_far() const { return prefiltered_; }
 
-  // Drains the source, emitting into `listener` (dag events) and `sink`
-  // (accesses); either may be null to replay one half of the stream. Throws
-  // trace_error on malformed input (e.g. a sync_child run cut short).
+  // Drains the source through the canonical walk, emitting into `listener`
+  // (dag events) and `sink` (accesses); either may be null to replay one
+  // half of the stream. Throws trace_error on malformed input. A trace may
+  // end between two walk steps without its program_end (a prefix).
   stats play(rt::execution_listener* listener,
              detect::hooks::access_sink* sink);
 
   // Like play(), with a periodic checkpoint: `checkpoint` fires with the
-  // running stats roughly every `every_events` consumed events (never inside
-  // a flattened sync run, so the stream the listener saw is always
-  // well-formed at the callback). An exception thrown by the checkpoint
-  // aborts the replay and propagates — the ingest daemon's budget
-  // enforcement cancels over-budget streams exactly this way.
+  // running stats roughly every `every_events` consumed events, always
+  // between walk steps, so the stream the listener saw is well-formed at
+  // the callback. An exception thrown by the checkpoint aborts the replay
+  // and propagates — the ingest daemon's budget enforcement cancels
+  // over-budget streams exactly this way.
   stats play(rt::execution_listener* listener, detect::hooks::access_sink* sink,
              std::uint64_t every_events,
              const std::function<void(const stats&)>& checkpoint);

@@ -3,8 +3,8 @@
 // It is both an execution_listener (attached to the recording session's
 // runtime, next to the detector) and an access_sink (installed as the hook
 // sink, in front of the detector) so dag-growth events and memory accesses
-// land in the sink interleaved in true program order — exactly the order the
-// player re-emits them in.
+// land in the sink interleaved in true program order — the order the
+// player's canonical walk emits them in again.
 //
 // on_sync is flattened (event.hpp): one sync_begin plus count sync_child
 // events, children and join strands paired positionally. Accesses are

@@ -12,6 +12,9 @@ FRD_TRACE=$1
 FRD_CORPUS=$2
 CORPUS_DIR=$3
 FRD_SERVE=${4:-}
+# A trace whose strand ids the canonical walk never mints, checked in next
+# to this script.
+HOSTILE=$(cd "$(dirname "$0")" && pwd)/hostile-strand-ids.frdt
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
@@ -49,25 +52,32 @@ expect_rc 1 "frd-trace record with unknown --backend" \
 
 expect_rc 0 "frd-trace records the demo program (binary)" \
   "$FRD_TRACE" record --program demo --out "$TMP/demo.frdt"
-expect_rc 0 "frd-trace records the demo program (jsonl)" \
+expect_rc 1 "frd-trace record rejects the removed --format flag" \
   "$FRD_TRACE" record --program demo --format jsonl --out "$TMP/demo.jsonl"
+grep -q 'unknown flag' "$TMP/err" ||
+  fail "frd-trace record --format must fail as an unknown flag"
+[ -e "$TMP/demo.jsonl" ] && fail "a rejected record left a file behind"
 expect_rc 0 "frd-trace stats reads the binary trace" \
   "$FRD_TRACE" stats "$TMP/demo.frdt"
-expect_rc 0 "frd-trace dump converts binary to jsonl" \
-  "$FRD_TRACE" dump "$TMP/demo.frdt"
+"$FRD_TRACE" dump "$TMP/demo.frdt" >"$TMP/demo.jsonl" 2>&1 ||
+  fail "frd-trace dump renders the binary trace as jsonl"
+# dump's JSONL is for reading: replay refuses it like any non-FRDT input.
+expect_rc 1 "frd-trace run rejects dump's jsonl" \
+  "$FRD_TRACE" run "$TMP/demo.jsonl"
+grep -q 'not a FutureRD trace: bad magic' "$TMP/err" ||
+  fail "replaying jsonl must fail as a typed bad-magic error"
 
-# Auto-detection: the same recording replayed from both encodings must
-# produce the same race report.
 "$FRD_TRACE" run "$TMP/demo.frdt" >"$TMP/run_bin.txt" 2>&1 ||
   fail "replaying the binary demo trace"
-"$FRD_TRACE" run "$TMP/demo.jsonl" >"$TMP/run_jsonl.txt" 2>&1 ||
-  fail "replaying the jsonl demo trace (format auto-detect)"
-if ! diff <(grep '^races:' "$TMP/run_bin.txt") \
-          <(grep '^races:' "$TMP/run_jsonl.txt") >/dev/null; then
-  fail "binary and jsonl replays of the same program disagree on races"
-fi
 grep -q 'mode: *replay' "$TMP/run_bin.txt" ||
   fail "frd-trace run should report replay mode"
+
+# Replay runs every dag event through the canonical walk: ids the walk
+# never mints are a typed error, not a crash.
+expect_rc 1 "frd-trace run rejects strand ids the walk never mints" \
+  "$FRD_TRACE" run "$HOSTILE"
+grep -q 'not the canonical walk' "$TMP/err" ||
+  fail "a hostile trace must fail naming the canonical walk"
 
 # Online: a run that records keeps every access; one that does not drops
 # same-window repeats on the workers. Both must print the same race report,
@@ -110,9 +120,6 @@ expect_rc 1 "frd-trace pack on a missing file" \
 expect_rc 2 "frd-trace unpack without --out" "$FRD_TRACE" unpack "$TMP/demo.frdtz"
 expect_rc 1 "frd-trace unpack rejects a flat trace" \
   "$FRD_TRACE" unpack "$TMP/demo.frdt" --out "$TMP/flat.frdt"
-expect_rc 2 "frd-trace record rejects --compress with --format jsonl" \
-  "$FRD_TRACE" record --program demo --compress --format jsonl \
-  --out "$TMP/x.frdtz"
 
 # pack -> unpack must reproduce the flat trace byte for byte.
 expect_rc 0 "frd-trace pack wraps the demo trace" \
@@ -210,14 +217,29 @@ for f in demo.frdt demo.frdtz; do
     fail "--to 5 must end the window inside the access run of $f"
 done
 
+# A prefix keeps every walk step whole, so --to M replays at every cut of
+# the 24-event demo, flat and packed; --to 24 is the full run.
+grep -q '^trace events: *24$' "$TMP/run_bin.txt" ||
+  fail "the demo trace should hold 24 events"
+for f in demo.frdt demo.frdtz; do
+  for m in $(seq 1 24); do
+    "$FRD_TRACE" run "$TMP/$f" --to "$m" >"$TMP/out" 2>&1 ||
+      fail "prefix replay of $f with --to $m"
+  done
+  if ! diff <(grep '^races:' "$TMP/run_bin.txt") \
+            <(grep '^races:' "$TMP/out") >/dev/null; then
+    fail "--to 24 on $f must print the full run's races line"
+  fi
+done
+
 # --from > 0 degrades (explicitly) to the reachability-free conflict scan;
-# on a v2 container it seeks through the footer index first.
+# on a container it seeks through the footer index first.
 "$FRD_TRACE" run "$TMP/demo.frdtz" --from 2 --to 20 >"$TMP/out" 2>&1 ||
   fail "window conflict scan on a container"
 grep -q '^window scan:' "$TMP/out" && grep -q 'reachability-free' "$TMP/out" ||
   fail "a --from window must label itself a reachability-free scan"
 
-# stats on a freshly packed container reports the seekable v2 index.
+# stats on a freshly packed container reports the seekable index.
 "$FRD_TRACE" stats "$TMP/demo.frdtz" >"$TMP/out" 2>&1
 grep -q 'seekable event index' "$TMP/out" ||
   fail "stats must report the v2 seek index"
@@ -264,6 +286,10 @@ if [ -n "$FRD_SERVE" ]; then
   # One bad stream must not take the daemon down.
   expect_rc 1 "submit rejects a truncated trace via the daemon" \
     "$FRD_TRACE" submit "$TMP/cut.frdt" --socket "$SOCK"
+  expect_rc 1 "submit rejects a hostile trace via the daemon" \
+    "$FRD_TRACE" submit "$HOSTILE" --socket "$SOCK"
+  grep -q 'bad-trace' "$TMP/err" ||
+    fail "a hostile stream must fail as bad-trace"
   expect_rc 0 "daemon still serves after a failed stream" \
     "$FRD_TRACE" submit "$TMP/demo.frdt" --socket "$SOCK"
 

@@ -9,8 +9,8 @@
 //              checked-in corpus goldens even under >= 8 concurrent client
 //              streams (including a million-event .frdtz), and injected
 //              corrupt / truncated / version-skewed / over-budget /
-//              disconnected streams each fail alone — siblings complete and
-//              the daemon keeps serving.
+//              disconnected / hostile-id streams each fail alone —
+//              siblings complete and the daemon keeps serving.
 //   reset      session::reset() must make replay #2 byte-identical to
 //              replay #1 across the (entry x backend) cube; the
 //              worker pool's recycling is sound only if this holds.
@@ -42,6 +42,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "crafted_containers.hpp"
+#include "hostile_traces.hpp"
 #include "trace/codec.hpp"
 
 namespace frd::serve {
@@ -879,6 +880,35 @@ TEST_F(ServeDaemonTest, OversizedChunkContainerIsABadTrace) {
   EXPECT_EQ(r.code, error_code::bad_trace) << r.error;
   EXPECT_NE(r.error.find("chunk limit"), std::string::npos) << r.error;
   EXPECT_TRUE(cli.submit_file(corpus_dir() + "/sync-heavy.frdt").ok);
+}
+
+// A stream whose dag events the canonical walk would not emit (strand ids
+// near 4e9) fails alone as a bad trace, and the next stream on the same
+// connection is served to its golden.
+TEST_F(ServeDaemonTest, HostileStreamFailsAloneOnItsConnection) {
+  start();
+  client cli(socket_);
+  const std::string hostile =
+      trace::testing::hostile_bytes(trace::testing::hostile_cases()[0]);
+  ASSERT_EQ(hostile.size(), 46u);
+  const submit_result bad = cli.submit(
+      std::vector<std::uint8_t>(hostile.begin(), hostile.end()),
+      submit_options{});
+  EXPECT_FALSE(bad.ok);
+  EXPECT_EQ(bad.code, error_code::bad_trace) << bad.error;
+  EXPECT_NE(bad.error.find("canonical walk"), std::string::npos) << bad.error;
+
+  const submit_result good =
+      cli.submit_file(corpus_dir() + "/fuzz-general.frdt");
+  ASSERT_TRUE(good.ok) << good.error;
+  EXPECT_EQ(good.golden, load_corpus_golden("fuzz-general"));
+  // The worker bumps streams_completed after the done frame ships.
+  for (int spin = 0; spin < 100 && srv_->stats().streams_completed < 1;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(srv_->stats().streams_failed, 1u);
+  EXPECT_EQ(srv_->stats().streams_completed, 1u);
 }
 
 // --------------------------------------------- session::reset() cube --

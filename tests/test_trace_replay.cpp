@@ -8,10 +8,15 @@
 //
 // The memory cells are file-static so the granule addresses recorded in the
 // trace are the granule addresses the live runs touch.
+//
+// The other half: hostile traces (hostile_traces.hpp), whose dag events the
+// canonical walk would not emit, end in a trace_error under every backend.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +24,7 @@
 #include "api/session.hpp"
 #include "detect/registry.hpp"
 #include "graph/fuzz.hpp"
+#include "hostile_traces.hpp"
 #include "trace/codec.hpp"
 #include "trace/event.hpp"
 
@@ -128,31 +134,76 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StructuredReplay,
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneralReplay,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-// The JSONL side of the codec carries detection-identical traces too: dump
-// the binary trace to JSONL, replay both, compare reports.
-TEST(JsonlReplay, JsonlAndBinaryReplaysAgree) {
-  const auto cfg = make_cfg(77, /*structured=*/false);
-  const std::string bytes = record_bytes(cfg);
+// ------------------------------------------------------ hostile traces --
 
-  std::istringstream bin_in(bytes);
-  trace::trace_reader bin_reader(bin_in);
-  std::ostringstream jsonl;
-  trace::jsonl_writer jw(jsonl, bin_reader.header());
-  trace::trace_event e;
-  while (bin_reader.next(e)) jw.put(e);
+// Every hostile case ends in a trace_error under every backend: no other
+// exception, no signal, no FRD_CHECK abort. The one exception to the type
+// is a fork-join backend given a future: it refuses the create, as it
+// refuses the create of any futures trace, before the hostile event is read.
+TEST(HostileTrace, EveryCaseIsATraceErrorUnderEveryBackend) {
+  const auto& reg = detect::backend_registry::instance();
+  ASSERT_EQ(reg.names().size(), 5u);
+  for (const trace::testing::hostile_case& c :
+       trace::testing::hostile_cases()) {
+    const std::string bytes = trace::testing::hostile_bytes(c);
+    for (const std::string& backend : reg.names()) {
+      SCOPED_TRACE(std::string(c.name) + " under " + backend);
+      const bool refuses_create =
+          c.creates_future &&
+          reg.at(backend).futures == detect::future_support::none;
+      std::istringstream in(bytes);
+      trace::trace_reader reader(in);
+      session s(session::options{.backend = backend, .granule = 4});
+      try {
+        s.replay(reader);
+        ADD_FAILURE() << "replay accepted a trace the walk did not emit";
+      } catch (const detect::capability_error& e) {
+        EXPECT_TRUE(refuses_create) << e.what();
+      } catch (const trace::trace_error& e) {
+        EXPECT_FALSE(refuses_create) << e.what();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "not a trace_error: " << e.what();
+      }
+    }
+  }
+}
 
-  std::istringstream bin_again(bytes);
-  trace::trace_reader r1(bin_again);
-  session a(session::options{.backend = "multibags+", .granule = 4});
-  a.replay(r1);
+// The error names the event index, what the trace holds and what the walk
+// emits.
+TEST(HostileTrace, TheErrorNamesTheEventAndWhatTheWalkEmits) {
+  const auto& cases = trace::testing::hostile_cases();
+  const auto message = [](const trace::testing::hostile_case& c) {
+    std::istringstream in(trace::testing::hostile_bytes(c));
+    trace::trace_reader reader(in);
+    session s("multibags+");
+    try {
+      s.replay(reader);
+    } catch (const trace::trace_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
+  };
+  EXPECT_EQ(message(cases[0]),
+            "trace event 1 is not the canonical walk's: the trace holds "
+            "strand_begin{s 4000000000, owner 0}, the walk emits "
+            "strand_begin{s 0, owner 0}");
+  EXPECT_EQ(message(cases[1]),
+            "trace event 2 is not the canonical walk's: the trace holds "
+            "get{fn 0, u 0, v 1, fut 7, w 5, creator 0}, the walk has no "
+            "returned future 7 to get");
+}
 
-  std::istringstream jsonl_in(jsonl.str());
-  trace::jsonl_reader r2(jsonl_in);
-  session b(session::options{.backend = "multibags+", .granule = 4});
-  b.replay(r2);
-
-  EXPECT_EQ(a.report().racy_granules(), b.report().racy_granules());
-  EXPECT_EQ(a.report().total(), b.report().total());
+// tests/hostile-strand-ids.frdt, which the CLI test and CI's serve smoke
+// step submit, is the first case byte for byte; the second is 25 bytes.
+TEST(HostileTrace, TheCheckedInStreamIsTheFirstCase) {
+  const auto& cases = trace::testing::hostile_cases();
+  std::ifstream f(FRD_TESTS_DIR "/hostile-strand-ids.frdt", std::ios::binary);
+  ASSERT_TRUE(f) << "cannot open " FRD_TESTS_DIR "/hostile-strand-ids.frdt";
+  const std::string checked_in((std::istreambuf_iterator<char>(f)),
+                               std::istreambuf_iterator<char>());
+  EXPECT_EQ(checked_in, trace::testing::hostile_bytes(cases[0]));
+  EXPECT_EQ(checked_in.size(), 46u);
+  EXPECT_EQ(trace::testing::hostile_bytes(cases[1]).size(), 25u);
 }
 
 }  // namespace

@@ -1,16 +1,16 @@
 // frd-trace — record, replay, and inspect FutureRD execution traces.
 //
 //   frd-trace record --program demo --out demo.frdt [--backend multibags+]
-//                    [--granule 4] [--seed 1] [--format binary|jsonl]
-//                    [--compress]
+//                    [--granule 4] [--seed 1] [--compress]
 //   frd-trace exec   --program demo [--runtime-workers N] [--record FILE]
 //                    # live online detection on the parallel runtime; the
 //                    # recorded arbitration order replays byte-identically
 //   frd-trace run    <trace> [--backend multibags+] [--from N] [--to M]
-//   frd-trace dump   <trace> [--from N] [--to M]    # JSONL to stdout
+//   frd-trace dump   <trace> [--from N] [--to M]    # JSONL to stdout, for
+//                                                   # reading only
 //   frd-trace stats  <trace>             # event-kind histogram + totals;
 //                                        # chunk/dedup stats for containers
-//   frd-trace pack   <trace> --out FILE  # any format -> .frdtz container
+//   frd-trace pack   <trace> --out FILE  # .frdt -> .frdtz container
 //   frd-trace unpack <frdtz> --out FILE  # container -> the original .frdt
 //
 // Windowed replay (--from/--to) is event-indexed. `--to M` alone replays the
@@ -19,17 +19,18 @@
 // reachability structures need, so it degrades explicitly to a
 // reachability-free window conflict scan: granules with conflicting access
 // pairs inside the window (an overapproximation — logically ordered strands
-// are not excluded). On a v2 .frdtz container the seek uses the footer's
+// are not excluded). On a .frdtz container the seek uses the footer's
 // per-chunk event index instead of decoding the prefix.
 //
 // A trace is a shareable repro artifact: `record` captures one of the
 // built-in programs (demo — a deterministic racy mix of spawns, syncs, and
 // escaping futures — or a seeded fuzz program), `run` replays it through any
 // registered backend with no user code executing, and `dump`/`stats` make it
-// reviewable. Binary, JSONL, and .frdtz container inputs are auto-detected
-// everywhere a trace is read; `--compress` records straight into a
-// container, and pack/unpack convert losslessly (unpack reproduces the
-// packed .frdt byte-for-byte).
+// reviewable. A trace is read from one format family, FRDT: bare .frdt and
+// .frdtz containers are auto-detected everywhere a trace is read;
+// `--compress` records straight into a container, and pack/unpack convert
+// losslessly (unpack reproduces the packed .frdt byte-for-byte). The JSONL
+// that `dump` prints is for reading; nothing reads it back.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -67,8 +68,7 @@ int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s <command> ...\n"
                "  record --program demo|fuzz|fuzz-general --out FILE\n"
-               "         [--backend NAME] [--granule N] [--seed N]\n"
-               "         [--format binary|jsonl] [--compress]\n"
+               "         [--backend NAME] [--granule N] [--seed N] [--compress]\n"
                "  exec   --program demo|fuzz|fuzz-general\n"
                "         [--backend NAME] [--granule N] [--seed N]\n"
                "         [--runtime-workers N] [--record FILE [--compress]]\n"
@@ -216,9 +216,9 @@ void print_report(const session& s, std::uint64_t events) {
 }
 
 // Positions `src` so the next event delivered is event `from`: containers
-// seek through the footer's per-chunk index (v2) or decode-and-discard (v1);
-// flat traces always decode-and-discard. Returns how many events actually
-// exist in front of the target (== from unless the trace is shorter).
+// seek through the footer's per-chunk index; flat traces decode-and-discard.
+// Returns how many events actually exist in front of the target (== from
+// unless the trace is shorter).
 std::uint64_t skip_to_event(trace::trace_source& src, std::uint64_t from) {
   if (auto* cs = dynamic_cast<container::container_source*>(&src)) {
     if (from > cs->info().event_count) return cs->info().event_count;
@@ -231,29 +231,27 @@ std::uint64_t skip_to_event(trace::trace_source& src, std::uint64_t from) {
   return n;
 }
 
-// Delivers at most `limit` events of the wrapped source — but never cuts a
-// sync_begin run mid-way, since the player (rightly) rejects orphaned
-// sync_child events; the run's children ride along past the limit.
+// Delivers the wrapped source's first `limit` events and, past the limit,
+// the rest of the walk step in progress: the player rejects a step cut
+// short. Every step but program_end ends with a strand_begin.
 class prefix_source final : public trace::trace_source {
  public:
   prefix_source(trace::trace_source& src, std::uint64_t limit)
       : src_(src), limit_(limit) {}
   const trace::trace_header& header() const override { return src_.header(); }
   bool next(trace::trace_event& e) override {
-    if (pending_children_ == 0 && total_ >= limit_) return false;
+    if (!in_step_ && total_ >= limit_) return false;
     if (!src_.next(e)) return false;
     ++total_;
-    if (pending_children_ > 0) {
-      --pending_children_;
-    } else if (e.kind == trace::event_kind::sync_begin) {
-      pending_children_ = e.sync_begin.count;
-    }
+    using trace::event_kind;
+    in_step_ = e.kind != event_kind::strand_begin &&
+               e.kind != event_kind::program_end &&
+               e.kind != event_kind::read && e.kind != event_kind::write;
     return true;
   }
-  // Access runs stop at the limit; none is handed out inside a sync run,
-  // whose children only next() may deliver.
+  // Access runs stop at the limit; none is handed out inside a step.
   std::span<const trace::trace_event> access_run(std::size_t max) override {
-    if (pending_children_ > 0 || total_ >= limit_) return {};
+    if (in_step_ || total_ >= limit_) return {};
     const std::span<const trace::trace_event> run =
         src_.access_run(std::min<std::uint64_t>(max, limit_ - total_));
     total_ += run.size();
@@ -264,7 +262,7 @@ class prefix_source final : public trace::trace_source {
   trace::trace_source& src_;
   std::uint64_t limit_;
   std::uint64_t total_ = 0;
-  std::uint32_t pending_children_ = 0;
+  bool in_step_ = false;
 };
 
 // The --from > 0 path: no dag prefix means no reachability, so this scans
@@ -359,7 +357,6 @@ int cmd_record(int argc, char** argv) {
                                     "detection backend while recording");
   auto& granule = flags.int_flag("granule", 4, "shadow granule (bytes)");
   auto& seed = flags.int_flag("seed", 1, "fuzz seed");
-  auto& format = flags.string_flag("format", "binary", "binary | jsonl");
   auto& do_compress = flags.bool_flag(
       "compress", false, "write a .frdtz container instead of a flat trace");
   flags.parse();
@@ -372,16 +369,6 @@ int cmd_record(int argc, char** argv) {
   }
   if (program != "demo" && program != "fuzz" && program != "fuzz-general") {
     std::fprintf(stderr, "record: unknown --program '%s'\n", program.c_str());
-    return 2;
-  }
-  if (format != "binary" && format != "jsonl") {
-    std::fprintf(stderr, "record: unknown --format '%s'\n", format.c_str());
-    return 2;
-  }
-  if (do_compress && format == "jsonl") {
-    std::fprintf(stderr,
-                 "record: --compress wraps the binary codec; drop "
-                 "--format jsonl\n");
     return 2;
   }
   if (granule < 1 || !frd::valid_granule(static_cast<std::size_t>(granule))) {
@@ -403,10 +390,8 @@ int cmd_record(int argc, char** argv) {
   std::unique_ptr<trace::trace_sink> sink;
   if (do_compress) {
     sink = std::make_unique<container::container_writer>(out, header);
-  } else if (format == "binary") {
-    sink = std::make_unique<trace::trace_writer>(out, header);
   } else {
-    sink = std::make_unique<trace::jsonl_writer>(out, header);
+    sink = std::make_unique<trace::trace_writer>(out, header);
   }
 
   s.record_to(*sink);
@@ -431,7 +416,7 @@ int cmd_record(int argc, char** argv) {
   }
 
   std::printf("recorded '%s' to %s (%s)\n", program.c_str(), out_path.c_str(),
-              do_compress ? "container" : format.c_str());
+              do_compress ? "container" : "binary");
   print_report(s, 0);
   return 0;
 }
@@ -722,9 +707,8 @@ void print_container_stats(const container::container_info& ci,
     ++(c.encoding == container::chunk_encoding::lz ? lz_unique : raw_unique);
   }
   const std::uint64_t hits = ci.dedup_hits();
-  std::printf("container: v%u (%s)\n", ci.container_version,
-              ci.seekable() ? "seekable event index"
-                            : "no seek index; repack to upgrade");
+  std::printf("container: v%u (seekable event index)\n",
+              container::kContainerVersion);
   std::printf("container: %llu chunks (%llu unique: %llu lz, %llu raw)\n",
               static_cast<unsigned long long>(ci.chunks.size()),
               static_cast<unsigned long long>(ci.chunks.size() - hits),
@@ -750,19 +734,12 @@ void print_container_stats(const container::container_info& ci,
               "stored", "raw", "first-ev", "first-off", "enc");
   for (std::size_t i = 0; i < ci.chunks.size(); ++i) {
     const auto& c = ci.chunks[i];
-    char off[24];
-    if (c.first_offset == container::kNoFirstOffset) {
-      std::snprintf(off, sizeof(off), "-");  // v1: not recorded
-    } else {
-      std::snprintf(off, sizeof(off), "%llu",
-                    static_cast<unsigned long long>(c.first_offset));
-    }
-    std::printf("  %-5zu %-10llu %-9llu %-9llu %-11llu %-9s %s\n", i,
+    std::printf("  %-5zu %-10llu %-9llu %-9llu %-11llu %-9llu %s\n", i,
                 static_cast<unsigned long long>(c.offset),
                 static_cast<unsigned long long>(c.stored_size),
                 static_cast<unsigned long long>(c.raw_size),
                 static_cast<unsigned long long>(c.first_event),
-                off,
+                static_cast<unsigned long long>(c.first_offset),
                 c.encoding == container::chunk_encoding::lz ? "lz" : "raw");
   }
 }
