@@ -313,10 +313,10 @@ class session {
   // identically.
   rt::execution_listener* build_listener();
 
-  // Per-run wiring of an online-parallel run: the engine (scheduler + pump
-  // wired to this session's listener stack and access sink), the program-
-  // facing runtime, and the sink swap that routes s.read/s.write and the
-  // hook sink through the engine's ring router for the duration. The
+  // Per-run wiring of an online-parallel run: the engine (the pump wired to
+  // this session's listener stack and access sink), the work-stealing
+  // runtime it observes, and the sink swap that routes s.read/s.write and
+  // the hook sink through the engine's ring router for the duration. The
   // destructor restores the sink and tears the pump down even on unwind;
   // finish() surfaces pump-side errors (online_error) on the host thread.
   // The workers drop same-window repeat accesses (DESIGN.md §9) unless the
@@ -327,13 +327,12 @@ class session {
     explicit online_run(session& s)
         : s_(s),
           eng_(online::engine::config{
-              .workers = s.opt_.runtime_workers,
               .granule = s.opt_.granule,
               .listener = s.build_listener(),
               .sink = s.sink_,
               .elide_repeats =
                   s.recorder_ == nullptr && s.opt_.sample_rate >= 1.0}),
-          ort_(eng_),
+          ort_(s.opt_.runtime_workers, &eng_),
           saved_sink_(s.sink_),
           hook_guard_(&eng_.router()) {
       ort_.enforce_single_touch(s.opt_.enforce_single_touch);

@@ -4,11 +4,12 @@
 // (detect::hooks::none or detect::hooks::active) and on the runtime RT —
 // any type exposing the shared runtime surface (run / create_future /
 // future_of / quiesce): rt::serial_runtime for the paper's sequential
-// detection runs, rt::parallel_runtime for bare work-stealing execution,
-// and online::runtime for live detection on the parallel scheduler. Under
-// the serial runtime every kernel emits the exact event stream it always
-// did; the parallel-safety notes at each kernel explain why the handle
-// access patterns are data-race-free under the other two.
+// detection runs, and rt::parallel_runtime for work-stealing execution,
+// bare or observed by the online engine for live detection
+// (online::runtime). Under the serial runtime every kernel emits the exact
+// event stream it always did; the parallel-safety notes at each kernel
+// explain why the handle access patterns are data-race-free under the
+// parallel one.
 #pragma once
 
 #include <cstdint>

@@ -8,11 +8,12 @@
 // restores RAII-style around each detection run (scoped_sink), so stacked
 // sessions always unwind to the enclosing session's sink. The sink pointer
 // is an implementation detail of hooks.cpp; nothing else touches it. The
-// pointer itself is atomic so online-parallel runs (src/online/) can read it
-// from scheduler workers; install/restore still happens on one thread at a
-// time (the session's host thread), and the installed sink must itself be
-// thread safe when the program runs on the parallel runtime (the online
-// engine's router is; the plain detector is serial-only).
+// pointer itself is atomic so online runs (rt::parallel_runtime observed by
+// the online engine, src/online/) can read it from scheduler workers;
+// install/restore still happens on one thread at a time (the session's host
+// thread), and the installed sink must itself be thread safe when the
+// program runs on the parallel runtime (the online engine's router is; the
+// plain detector is serial-only).
 #pragma once
 
 #include <cstddef>

@@ -48,15 +48,10 @@ engine::lane::~lane() {
 
 engine::engine(const config& cfg)
     : cfg_(cfg),
-      sched_(cfg.workers),
       router_(*this),
       granule_mask_(frd::granule_mask(cfg.granule)) {
   FRD_CHECK_MSG(frd::valid_granule(cfg_.granule),
                 "online engine granule must be a power of two in [1, 4096]");
-  for (unsigned i = 0; i < sched_.worker_count(); ++i) {
-    lanes_.push_back(std::make_unique<lane>(i, cfg_.ring_capacity));
-  }
-  segments_live_.store(lanes_.size(), std::memory_order_relaxed);
   run_.copy.reserve(kBatchCapacity);
 }
 
@@ -70,11 +65,11 @@ std::uint32_t engine::current_node() {
 }
 
 // A node switch starts a new window: without it, a task run right after
-// another node's accesses with no dag record in between (engine::quiesce
-// running untouched futures after the root's last accesses) would see the
-// other node's entries as its own. The switch also publishes those
+// another node's accesses with no dag record in between (the runtime's
+// quiesce running untouched futures after the root's last accesses) would
+// see the other node's entries as its own. The switch also publishes those
 // accesses, so a handle never mixes nodes.
-std::uint32_t engine::bind_node(std::uint32_t node) {
+std::uint32_t engine::bind(std::uint32_t node) {
   lane& l = my_lane();
   if (l.fill != l.begin) publish(l, op::none, 0);
   tls_lane_ = &l;
@@ -137,31 +132,27 @@ void engine::log_access(const void* p, std::size_t bytes, bool is_write) {
 }
 
 // Each worker bumps its tally only inside task bodies (or the root, on this
-// thread), and every task ends with note_task_finished's release; quiesce's
-// acquire of outstanding_ == 0 therefore orders all of them before this.
+// thread), and the runtime releases its live-task count after every task
+// body; run() returns only after its quiesce acquired that count at zero,
+// which orders all of them before this.
 std::uint64_t engine::elided() const {
   std::uint64_t n = 0;
   for (const auto& l : lanes_) n += l->elided;
   return n;
 }
 
-void engine::begin_program() {
+std::uint32_t engine::begin_program(unsigned workers, bool single_touch) {
   FRD_CHECK_MSG(!begun_, "an online engine runs exactly one program");
   begun_ = true;
-  const std::uint32_t root = alloc_node();
+  single_touch_ = single_touch;
+  for (unsigned i = 0; i < workers; ++i) {
+    lanes_.push_back(std::make_unique<lane>(i, cfg_.ring_capacity));
+  }
+  segments_live_.store(lanes_.size(), std::memory_order_relaxed);
+  const std::uint32_t root = next_node_.fetch_add(1, std::memory_order_relaxed);
   FRD_CHECK(root == 0);  // the walk hard-codes main as node 0
   pump_ = std::thread([this] { pump_main(); });
-}
-
-void engine::quiesce() {
-  sched_.help_until(
-      [this] { return outstanding_.load(std::memory_order_acquire) == 0; });
-}
-
-void engine::end_program() {
-  FRD_CHECK_MSG(begun_ && !ended_, "end_program without a running program");
-  ended_ = true;
-  log(op::end);
+  return root;
 }
 
 void engine::finish() {

@@ -1,5 +1,6 @@
-// Online detection engine: runs a program on the work-stealing parallel
-// runtime with the serial detection stack attached live.
+// Online detection engine: observes a program running on the work-stealing
+// runtime (rt::parallel_runtime) with the serial detection stack attached
+// live.
 //
 // Architecture (DESIGN.md §9):
 //
@@ -8,8 +9,9 @@
 //   hooks / session::read ──► router ──► granulated accesses, less the
 //                        same-window repeats each worker's filter drops,
 //                        appended to the worker's private segment
-//   online::runtime ops ──► dag record ──► publish {node, segment run,
-//                        record} as one handle on the worker's SPSC ring
+//   parallel_runtime ops ──► observer ──► dag record; publish {node,
+//                        segment run, record} as one handle on the
+//                        worker's SPSC ring
 //                                        │ drain: queue handles per node
 //                                        │ (program order)
 //                                        ▼
@@ -33,9 +35,9 @@
 // needs handles that have not arrived yet (a stolen child still
 // executing), it drains every ring while it waits, so such a worker always
 // makes progress. A worker short of segment memory allocates a new segment
-// rather than wait for one to come back. Untouched futures are executed by
-// engine::quiesce before the root's `end` record is logged, so the walk
-// always terminates.
+// rather than wait for one to come back. The runtime's run() finishes every
+// task, untouched futures included, before the root's `end` record is
+// logged, so the walk always terminates.
 #pragma once
 
 #include <array>
@@ -66,10 +68,13 @@ class online_error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-class engine {
+// The observer of one rt::parallel_runtime run (the runtime owns the
+// scheduler and the width): it names every function instance with a node id,
+// binds nodes around their bodies, logs the spawn/create/sync/get/end
+// records, and runs the pump from program begin to the root's end.
+class engine final : public rt::parallel_observer {
  public:
   struct config {
-    unsigned workers = 0;  // scheduler width; 0 = hardware_concurrency
     std::size_t granule = 4;
     rt::execution_listener* listener = nullptr;  // dag events (detector/mux)
     detect::hooks::access_sink* sink = nullptr;  // accesses (detector/recorder)
@@ -85,54 +90,39 @@ class engine {
   static constexpr std::size_t kBatchCapacity = 4096;
 
   explicit engine(const config& cfg);
-  ~engine();
+  ~engine() override;
   engine(const engine&) = delete;
   engine& operator=(const engine&) = delete;
-
-  rt::par::scheduler& sched() { return sched_; }
-  unsigned worker_count() const { return sched_.worker_count(); }
 
   // Thread-safe access_sink that granulates and appends to the calling
   // worker's segment; the session installs it as the hook sink for the run.
   detect::hooks::access_sink& router() { return router_; }
 
-  // ---- producer side (called from program threads via online::runtime) ----
-  std::uint32_t alloc_node() {
-    return next_node_.fetch_add(1, std::memory_order_relaxed);
+  // ---- observer side (called by the runtime on the program's threads) ----
+  // Builds one lane per worker, mints node 0 (main) and starts the pump;
+  // under single-touch the walk drops a future's entry at its one get.
+  std::uint32_t begin_program(unsigned workers, bool single_touch) override;
+  // Mints the child's node and logs the spawn or create record.
+  std::uint32_t fork(bool future) override {
+    const std::uint32_t child =
+        next_node_.fetch_add(1, std::memory_order_relaxed);
+    log(future ? op::create : op::spawn, child);
+    return child;
   }
-  // Publishes the calling worker's pending accesses closed by a dag record
-  // of its bound node; it closes the worker's repeat-filter window.
-  void log(op kind, std::uint32_t arg = 0);
-  // Splits an access into granules and appends one access per granule to
-  // the worker's segment, dropping same-window repeats when elide_repeats
-  // is on.
-  void log_access(const void* p, std::size_t bytes, bool is_write);
-  void note_task_started() {
-    outstanding_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_task_finished() {
-    outstanding_.fetch_sub(1, std::memory_order_release);
-  }
-
-  // Thread-local binding of the function instance currently executing on
-  // this thread; task wrappers save/restore it around bodies. Every
+  void sync() override { log(op::sync); }
+  void get(std::uint32_t future) override { log(op::get, future); }
+  // Thread-local binding of the node executing on this thread. Every
   // binding publishes the worker's pending accesses (they belong to the
   // previous node) and opens a new repeat-filter window.
-  static std::uint32_t current_node();
-  std::uint32_t bind_node(std::uint32_t node);  // returns previous
+  std::uint32_t bind(std::uint32_t node) override;
+  // The bound node's last record; main's lets the walk complete.
+  void end() override { log(op::end); }
 
-  void enforce_single_touch(bool on) { single_touch_ = on; }
-  bool single_touch() const { return single_touch_; }
-
-  // ---- lifecycle (host thread; driven by online::runtime::run + session) ----
-  void begin_program();  // mints node 0 (main) and starts the pump
-  void quiesce();        // help until every pushed task finished (untouched
-                         // futures included); call from inside the scheduler
-  void end_program();    // logs main's `end`; the walk can now complete
+  // ---- lifecycle (host thread, driven by session) ----
   void finish();         // joins the pump and rethrows its error, if any
   void abort() noexcept;  // finish() for unwind paths: joins, swallows
 
-  // ---- counters (host thread, once the program has quiesced) ----
+  // ---- counters (host thread, once the runtime's run() has returned) ----
   // Accesses the workers dropped as same-window repeats, over all workers.
   std::uint64_t elided() const;
   // High-water mark of records (accesses and dag records) in handles the
@@ -231,9 +221,17 @@ class engine {
   lane& my_lane() {
     return *lanes_[rt::par::scheduler::current_worker_index()];
   }
-  // The calling thread's lane, set by bind_node: a thread with a bound node
-  // is a worker of the engine that bound it.
+  // The calling thread's lane, set by bind: a thread with a bound node is a
+  // worker of the engine that bound it.
   static thread_local lane* tls_lane_;
+  static std::uint32_t current_node();  // checks that one is bound
+  // Publishes the calling worker's pending accesses closed by a dag record
+  // of its bound node; it closes the worker's repeat-filter window.
+  void log(op kind, std::uint32_t arg = 0);
+  // Splits an access into granules and appends one access per granule to
+  // the worker's segment, dropping same-window repeats when elide_repeats
+  // is on.
+  void log_access(const void* p, std::size_t bytes, bool is_write);
   void publish(lane& l, op kind, std::uint32_t arg);
   void take_segment(lane& l);
 
@@ -252,20 +250,17 @@ class engine {
   void note_held();       // refreshes the held-bytes high-water mark
 
   config cfg_;
-  rt::par::scheduler sched_;
   ring_router router_;
   std::uintptr_t granule_mask_;
-  std::vector<std::unique_ptr<lane>> lanes_;
+  std::vector<std::unique_ptr<lane>> lanes_;  // one per worker, from begin
 
   std::atomic<std::uint32_t> next_node_{0};
-  std::atomic<std::uint64_t> outstanding_{0};
   std::atomic<bool> stop_{false};
   // Segments allocated and not yet freed, over all lanes: workers add, the
   // pump subtracts when its pool is full.
   std::atomic<std::size_t> segments_live_{0};
   bool single_touch_ = false;
   bool begun_ = false;
-  bool ended_ = false;
   bool finished_ = false;
 
   std::thread pump_;

@@ -28,7 +28,7 @@
 
 namespace frd::online {
 
-// "No node" marker for the thread-local node binding (engine::bind_node).
+// "No node" marker for the thread-local node binding (engine::bind).
 inline constexpr std::uint32_t kNoNode = static_cast<std::uint32_t>(-1);
 
 enum class op : std::uint8_t {

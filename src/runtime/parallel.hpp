@@ -2,10 +2,13 @@
 //
 // The paper's detector runs sequentially, but the substrate it instruments
 // is a Cilk-style parallel platform; this runtime is our stand-in for Intel
-// Cilk Plus when detection is OFF (examples, speedup measurements). It is a
-// child-stealing scheduler: `spawn` enqueues the child on the worker's
-// Chase-Lev deque and the parent continues; `sync` helps (pops own deque,
-// then steals) until every child of the frame has completed. Futures are
+// Cilk Plus. It exists once: bare (no observer) it runs programs with
+// detection OFF (examples, speedup measurements); with the online engine as
+// its parallel_observer it runs them with detection live (DESIGN.md §9,
+// online::runtime). It is a child-stealing scheduler: `spawn` enqueues the
+// child on the worker's Chase-Lev deque and the parent continues; `sync`
+// helps (pops own deque, then steals) until every child of the frame has
+// completed. `run` returns once every task has finished. Futures are
 // eagerly *created* tasks; `get` leapfrogs — claims the body and runs it
 // inline if no one has started it — and otherwise helps until the claimer
 // finishes.
@@ -108,6 +111,8 @@ struct future_state_base {
   // claim and run the awaited body inline. The runner must mark_done().
   std::function<void(scheduler&)> run_body;
   position pos;  // of the body; set with run_body
+  std::uint32_t id = 0;  // the observer's id of the body's instance
+  std::atomic<int> touches{0};  // gets so far, over every handle
 
   // True if the caller won the right to run the body.
   bool claim() {
@@ -182,121 +187,144 @@ void run_as_function(scheduler& s, const position& pos, F& fn) {
   s.swap_current_frame(prev);
 }
 
-template <typename F>
-struct child_task final : task {
-  child_task(frame* parent, F&& fn, std::atomic<std::uint64_t>* live = nullptr)
-      : task(parent->mint_child()),
-        parent_(parent),
-        fn_(std::move(fn)),
-        live_(live) {}
-  void execute(scheduler& sched) override {
-    run_as_function(sched, pos, fn_);
-    parent_->pending.fetch_sub(1, std::memory_order_release);
-    if (live_ != nullptr) live_->fetch_sub(1, std::memory_order_release);
-  }
-  frame* parent_;
-  F fn_;
-  std::atomic<std::uint64_t>* live_;  // runtime's outstanding-task counter
-};
-
-// The queued face of a future: the body itself lives in the shared state
-// (so a blocked get can leapfrog into it); the task only offers the state a
-// chance to run when dequeued, and settles the live-task accounting.
-struct future_task final : task {
-  explicit future_task(std::shared_ptr<future_state_base> st,
-                       std::atomic<std::uint64_t>* live = nullptr)
-      : task(st->pos), state_(std::move(st)), live_(live) {}
-  void execute(scheduler& sched) override {
-    state_->run_if_pending(sched);
-    if (live_ != nullptr) live_->fetch_sub(1, std::memory_order_release);
-  }
-  std::shared_ptr<future_state_base> state_;
-  std::atomic<std::uint64_t>* live_;
-};
-
 }  // namespace par
 
+// Receives a parallel_runtime's dag operations on the threads that perform
+// them, as an execution_listener receives serial_runtime's events. The
+// observer names each function instance with an id it mints at the fork;
+// the runtime carries that id with the instance's task or future and hands
+// it back wherever the instance runs (bind) or is touched (get). The online
+// detection engine (online/engine.hpp) is the observer; a runtime without
+// one is the bare runtime and makes none of these calls.
+class parallel_observer {
+ public:
+  virtual ~parallel_observer() = default;
+  // On the host thread before the root starts: the scheduler's width and
+  // whether futures are single-touch. Returns the root's id.
+  virtual std::uint32_t begin_program(unsigned workers, bool single_touch) = 0;
+  // The instance bound to the calling thread forks a child (a future when
+  // `future`) before the child can run; returns the child's id.
+  virtual std::uint32_t fork(bool future) = 0;
+  // The bound instance syncs, or gets the future whose id is `future`;
+  // called before any wait.
+  virtual void sync() = 0;
+  virtual void get(std::uint32_t future) = 0;
+  // Binds the instance `id` to the calling thread; returns the binding it
+  // replaces, which the runtime restores through the same call.
+  virtual std::uint32_t bind(std::uint32_t id) = 0;
+  // The bound instance's body returned with its children joined; for the
+  // root, every task of the program has finished.
+  virtual void end() = 0;
+};
+
+class parallel_runtime;
+
 // Shared-state handle to a parallel future. Copyable (shared state), so
-// general programs can stash handles in arrays and touch them repeatedly.
+// general programs can stash handles in arrays and touch them repeatedly;
+// the touch count lives in the shared state, so single-touch enforcement
+// sees every copy's gets.
 template <typename T>
 class pfuture {
  public:
   pfuture() = default;
   bool valid() const { return state_ != nullptr; }
   bool ready() const { return state_ && state_->done(); }
+  int touch_count() const {
+    return state_ ? state_->touches.load(std::memory_order_relaxed) : 0;
+  }
 
   // Handle-style join, mirroring rt::future<T>::get() so generic kernels
-  // (templated on the runtime via future_of) run unchanged here.
-  const T& get() {
-    FRD_CHECK_MSG(state_ != nullptr, "get() on an invalid pfuture");
-    sched_->wait_future(*state_);
-    return *state_->value;
-  }
+  // (templated on the runtime via future_of) run unchanged here. Returns
+  // the value (const T&), or nothing for pfuture<void>. Defined after
+  // parallel_runtime.
+  decltype(auto) get();
 
  private:
   friend class parallel_runtime;
-  pfuture(std::shared_ptr<par::future_state<T>> s, par::scheduler* sched)
-      : state_(std::move(s)), sched_(sched) {}
+  pfuture(std::shared_ptr<par::future_state<T>> s, parallel_runtime* rt)
+      : state_(std::move(s)), rt_(rt) {}
   std::shared_ptr<par::future_state<T>> state_;
-  par::scheduler* sched_ = nullptr;
+  parallel_runtime* rt_ = nullptr;
 };
 
-template <>
-class pfuture<void> {
- public:
-  pfuture() = default;
-  bool valid() const { return state_ != nullptr; }
-  bool ready() const { return state_ && state_->done(); }
-  void get() {
-    FRD_CHECK_MSG(state_ != nullptr, "get() on an invalid pfuture");
-    sched_->wait_future(*state_);
-  }
-
- private:
-  friend class parallel_runtime;
-  pfuture(std::shared_ptr<par::future_state<void>> s, par::scheduler* sched)
-      : state_(std::move(s)), sched_(sched) {}
-  std::shared_ptr<par::future_state<void>> state_;
-  par::scheduler* sched_ = nullptr;
-};
-
+// The work-stealing runtime. With an observer attached it is the online
+// runtime (online::runtime names it); without one, the bare runtime.
 class parallel_runtime {
  public:
-  explicit parallel_runtime(unsigned workers = 0) : sched_(workers) {}
+  explicit parallel_runtime(unsigned workers = 0,
+                            parallel_observer* observer = nullptr)
+      : sched_(workers), obs_(observer) {}
 
-  // Generic-kernel seam shared with serial_runtime and online::runtime:
-  // kernels templated on the runtime name their future type through this.
+  // Generic-kernel seam shared with serial_runtime: kernels templated on
+  // the runtime name their future type through this.
   template <typename T>
   using future_of = pfuture<T>;
 
   unsigned worker_count() const { return sched_.worker_count(); }
 
-  // Single-touch enforcement is a detection-time concern; the bare parallel
-  // runtime accepts the call (generic drivers may make it) and ignores it.
-  void enforce_single_touch(bool /*on*/) {}
+  // When true, a second get() of one future aborts: the paper's
+  // structured-future "single-touch" restriction (§2), as on
+  // serial_runtime. Set it before run().
+  void enforce_single_touch(bool on) { single_touch_ = on; }
 
-  // Runs root to completion (including everything it transitively spawned).
+  // Runs `root` as the program's main function and returns once every
+  // task it started has finished, untouched futures included. A root that
+  // throws propagates its exception after the same wait, and the runtime
+  // can run again.
   template <typename F>
   void run(F&& root) {
+    FRD_CHECK_MSG(!task_threw_,
+                  "parallel_runtime::run after an exception escaped a task "
+                  "(exceptions inside tasks are not supported)");
+    const std::uint32_t id =
+        obs_ != nullptr ? obs_->begin_program(worker_count(), single_touch_)
+                        : 0;
     sched_.enter_host();
     const par::position main_pos;
-    par::run_as_function(sched_, main_pos, root);
-    sched_.leave_host();
+    par::frame fr(main_pos);
+    par::frame* const prev_frame = sched_.swap_current_frame(&fr);
+    const std::uint32_t prev = obs_ != nullptr ? obs_->bind(id) : 0;
+    const auto leave = [&] {
+      if (obs_ != nullptr) obs_->bind(prev);
+      sched_.swap_current_frame(prev_frame);
+      sched_.leave_host();
+    };
+    try {
+      root();
+    } catch (...) {
+      // A throw from the root's own code leaves every count in order, so
+      // wait for the tasks: their bodies may capture what the unwinding
+      // destroys. A task that threw while this thread helped skipped its
+      // counts (and left its frame current), so that wait would not end;
+      // the exception goes up at once, as a task's throw always did.
+      if (sched_.current_frame() == &fr) {
+        quiesce();
+      } else {
+        task_threw_ = true;
+      }
+      leave();
+      throw;
+    }
+    quiesce();
+    if (obs_ != nullptr) obs_->end();
+    leave();
   }
 
   template <typename F>
   void spawn(F&& f) {
     par::frame* fr = sched_.current_frame();
     FRD_CHECK_MSG(fr != nullptr, "spawn outside run()");
+    const std::uint32_t id = obs_ != nullptr ? obs_->fork(false) : 0;
     fr->pending.fetch_add(1, std::memory_order_relaxed);
     live_.fetch_add(1, std::memory_order_relaxed);
     sched_.push_task(
-        new par::child_task<std::decay_t<F>>(fr, std::forward<F>(f), &live_));
+        new child_task<std::decay_t<F>>(*this, *fr, id, std::forward<F>(f)));
   }
 
   void sync() {
     par::frame* fr = sched_.current_frame();
     FRD_CHECK_MSG(fr != nullptr, "sync outside run()");
+    if (obs_ != nullptr) obs_->sync();
     if (fr->pending.load(std::memory_order_acquire) != 0) sched_.wait_frame(*fr);
   }
 
@@ -307,12 +335,13 @@ class parallel_runtime {
     FRD_CHECK_MSG(fr != nullptr, "create_future outside run()");
     auto state = std::make_shared<par::future_state<R>>();
     state->pos = fr->mint_child();
+    state->id = obs_ != nullptr ? obs_->fork(true) : 0;
     // fn rides in a shared_ptr because std::function requires a copyable
     // callable; the raw back-pointer into the state is safe — the closure
     // is owned by that same state.
-    state->run_body = [st = state.get(),
+    state->run_body = [this, st = state.get(),
                        fn = std::make_shared<std::decay_t<F>>(
-                           std::forward<F>(f))](par::scheduler& sched) {
+                           std::forward<F>(f))](par::scheduler&) {
       auto body = [&] {
         if constexpr (std::is_void_v<R>) {
           (*fn)();
@@ -320,12 +349,17 @@ class parallel_runtime {
           st->value.emplace((*fn)());
         }
       };
-      par::run_as_function(sched, st->pos, body);
+      run_instance(st->id, st->pos, body);
       st->mark_done();
     };
     live_.fetch_add(1, std::memory_order_relaxed);
-    sched_.push_task(new par::future_task(state, &live_));
-    return pfuture<R>{std::move(state), &sched_};
+    sched_.push_task(new future_task(state, *this));
+    return pfuture<R>{std::move(state), this};
+  }
+
+  template <typename T>
+  decltype(auto) get(pfuture<T>& fut) {
+    return fut.get();
   }
 
   // Helps until every task ever pushed has finished executing — including
@@ -342,20 +376,86 @@ class parallel_runtime {
     sched_.help_until(std::forward<P>(done));
   }
 
+ private:
   template <typename T>
-  const T& get(pfuture<T>& fut) {
-    FRD_CHECK_MSG(fut.state_ != nullptr, "get() on an invalid pfuture");
-    sched_.wait_future(*fut.state_);
-    return *fut.state_->value;
-  }
-  void get(pfuture<void>& fut) {
-    FRD_CHECK_MSG(fut.state_ != nullptr, "get() on an invalid pfuture");
-    sched_.wait_future(*fut.state_);
+  friend class pfuture;
+
+  // A spawned child: runs as its own function instance, then settles its
+  // parent's pending count and the live count.
+  template <typename F>
+  struct child_task final : par::task {
+    child_task(parallel_runtime& rt, par::frame& parent, std::uint32_t id,
+               F&& fn)
+        : task(parent.mint_child()),
+          rt_(rt),
+          parent_(parent),
+          id_(id),
+          fn_(std::move(fn)) {}
+    void execute(par::scheduler&) override {
+      rt_.run_instance(id_, pos, fn_);
+      parent_.pending.fetch_sub(1, std::memory_order_release);
+      rt_.live_.fetch_sub(1, std::memory_order_release);
+    }
+    parallel_runtime& rt_;
+    par::frame& parent_;
+    const std::uint32_t id_;
+    F fn_;
+  };
+
+  // The queued face of a future: the body itself lives in the shared state
+  // (so a blocked get can leapfrog into it); the task only offers the state
+  // a chance to run when dequeued, and settles the live count.
+  struct future_task final : par::task {
+    future_task(std::shared_ptr<par::future_state_base> st,
+                parallel_runtime& rt)
+        : task(st->pos), state_(std::move(st)), rt_(rt) {}
+    void execute(par::scheduler& sched) override {
+      state_->run_if_pending(sched);
+      rt_.live_.fetch_sub(1, std::memory_order_release);
+    }
+    std::shared_ptr<par::future_state_base> state_;
+    parallel_runtime& rt_;
+  };
+
+  // Runs `fn` as the function instance `id` at `pos`, bound to the calling
+  // thread for the observer while its body runs.
+  template <typename F>
+  void run_instance(std::uint32_t id, const par::position& pos, F& fn) {
+    if (obs_ == nullptr) return par::run_as_function(sched_, pos, fn);
+    const std::uint32_t prev = obs_->bind(id);
+    par::run_as_function(sched_, pos, fn);
+    obs_->end();
+    obs_->bind(prev);
   }
 
- private:
+  // Joins with a future: counts the touch, reports it, then leapfrogs into
+  // the body or helps until it is done.
+  void touch(par::future_state_base& st) {
+    const int count = st.touches.fetch_add(1, std::memory_order_relaxed) + 1;
+    FRD_CHECK_MSG(!single_touch_ || count == 1,
+                  "structured futures are single-touch (paper S2); second "
+                  "get() on the same handle");
+    if (obs_ != nullptr) obs_->get(st.id);
+    sched_.wait_future(st);
+  }
+
   par::scheduler sched_;
-  std::atomic<std::uint64_t> live_{0};  // tasks pushed but not yet finished
+  parallel_observer* const obs_;
+  // Tasks pushed but not yet finished. Each task's release decrement comes
+  // after its body, so quiesce's acquire of zero orders every body's
+  // effects (the online workers' tallies among them) before what follows.
+  std::atomic<std::uint64_t> live_{0};
+  bool single_touch_ = false;
+  bool task_threw_ = false;  // its counts are lost: the runtime is spent
 };
+
+template <typename T>
+decltype(auto) pfuture<T>::get() {
+  FRD_CHECK_MSG(state_ != nullptr, "get() on an invalid pfuture");
+  rt_->touch(*state_);
+  if constexpr (!std::is_void_v<T>) {
+    return static_cast<const T&>(*state_->value);
+  }
+}
 
 }  // namespace frd::rt

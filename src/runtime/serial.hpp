@@ -96,8 +96,9 @@ class serial_runtime {
   serial_runtime(const serial_runtime&) = delete;
   serial_runtime& operator=(const serial_runtime&) = delete;
 
-  // Generic-kernel seam shared with parallel_runtime and online::runtime:
-  // kernels templated on the runtime name their future type through this.
+  // Generic-kernel seam shared with parallel_runtime (bare, or observed by
+  // the online engine): kernels templated on the runtime name their future
+  // type through this.
   template <typename T>
   using future_of = future<T>;
 
@@ -106,7 +107,7 @@ class serial_runtime {
   void enforce_single_touch(bool on) { single_touch_ = on; }
 
   // Eager depth-first execution means every task created so far has already
-  // run to completion; the parallel runtimes' quiesce/help_until degenerate
+  // run to completion; the parallel runtime's quiesce/help_until degenerate
   // to no-ops here (the waited-on condition must already hold).
   void quiesce() {}
   template <typename P>

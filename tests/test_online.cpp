@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -299,8 +300,8 @@ TEST(OnlineFilterModes, SamplingTurnsTheFilterOff) {
             online.access_count());
 }
 
-// engine::quiesce runs an untouched future right after the root's last
-// access with no dag record in between; the node switch alone must start a
+// run() finishes an untouched future right after the root's last access
+// with no dag record in between; the node switch alone must start a
 // new window, or the future's read would be dropped as a repeat of the
 // root's write and its race with that write lost.
 TEST(OnlineFilterModes, ANodeSwitchStartsANewWindow) {
@@ -388,9 +389,8 @@ TEST(OnlineFilterModes, AWriteAfterAReadIsNeverDropped) {
 TEST(OnlineEngine, LogRecordsStayBoundedOverSequentialSpawns) {
   constexpr std::size_t kRing = 64;
   const auto peak_for = [](int spawns) {
-    online::engine eng(online::engine::config{.workers = 2,
-                                              .ring_capacity = kRing});
-    online::runtime rt(eng);
+    online::engine eng(online::engine::config{.ring_capacity = kRing});
+    online::runtime rt(2, &eng);
     static std::array<int, 64> cells;
     rt.run([&] {
       for (int i = 0; i < spawns; ++i) {
@@ -420,9 +420,8 @@ TEST(OnlineEngine, LogRecordsStayBoundedOverSequentialSpawns) {
 // grow with the run.
 TEST(OnlineEngine, HeldBytesStayBoundedOverSequentialSpawnsAndFutures) {
   const auto peak_for = [](int n, bool futures) {
-    online::engine eng(online::engine::config{.workers = 1,
-                                              .ring_capacity = 256});
-    online::runtime rt(eng);
+    online::engine eng(online::engine::config{.ring_capacity = 256});
+    online::runtime rt(1, &eng);
     rt.enforce_single_touch(true);
     static int cell;
     const auto body = [&eng] { eng.router().on_write(&cell, sizeof cell); };
@@ -531,6 +530,42 @@ TEST(OnlineEngine, AGetBeforeTheFuturesCreationPointIsAnOnlineError) {
     EXPECT_EQ(s.access_count(), 2u) << "workers " << w;
     EXPECT_EQ(s.report().total(), 0u) << "workers " << w;
   }
+}
+
+// The twin of ParallelRuntime.RunIsReusableAfterTheRootThrows: a root that
+// throws unwinds the online run after every task it started has finished,
+// and after reset() the session runs again and reports.
+TEST(OnlineRuntime, SessionRunsAgainAfterTheRootThrows) {
+  static int cell;
+  session s(session::options{.runtime = runtime_kind::parallel,
+                             .runtime_workers = 2});
+  std::atomic<int> children{0};
+  EXPECT_THROW(s.run([&](auto& rt) {
+    rt.run([&] {
+      for (int i = 0; i < 64; ++i) {
+        rt.spawn([&] {
+          s.write(&cell);
+          children.fetch_add(1);
+        });
+      }
+      throw std::runtime_error("root failed");
+    });
+  }),
+               std::runtime_error);
+  EXPECT_EQ(children.load(), 64);
+  s.reset();
+  s.run([&](auto& rt) {
+    rt.run([&] {
+      auto f = rt.create_future([&] {
+        s.write(&cell);
+        return 0;
+      });
+      s.write(&cell);
+      f.get();
+    });
+  });
+  EXPECT_EQ(s.access_count(), 2u);
+  EXPECT_EQ(s.report().total(), 1u);
 }
 
 // ------------------------------------------------------- serial identity --

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/fuzz.hpp"
@@ -155,6 +156,69 @@ TEST(ParallelRuntime, RunReusableAcrossCalls) {
   }
 }
 
+TEST(ParallelRuntime, RunFinishesUntouchedFutures) {
+  parallel_runtime rt(4);
+  std::atomic<int> ran{0};
+  rt.run([&] {
+    for (int i = 0; i < 64; ++i) rt.create_future([&] { ran.fetch_add(1); });
+  });
+  EXPECT_EQ(ran.load(), 64);
+}
+
+// A throwing root unwinds run(): every task it started finishes first (the
+// children capture the root's state), and the same runtime runs again.
+TEST(ParallelRuntime, RunIsReusableAfterTheRootThrows) {
+  parallel_runtime rt(4);
+  std::atomic<int> n{0};
+  EXPECT_THROW(rt.run([&] {
+    for (int i = 0; i < 64; ++i) rt.spawn([&] { n.fetch_add(1); });
+    throw std::runtime_error("root failed");
+  }),
+               std::runtime_error);
+  EXPECT_EQ(n.load(), 64);
+  rt.run([&] {
+    for (int i = 0; i < 64; ++i) rt.spawn([&] { n.fetch_add(1); });
+    rt.sync();
+  });
+  EXPECT_EQ(n.load(), 128);
+}
+
+// Exceptions inside tasks are not supported yet. One that a task throws
+// while this thread runs it still reaches the caller of run(), as the
+// root's own does, rather than leave run() waiting for the counts the task
+// skipped; the runtime then refuses to run again.
+TEST(ParallelRuntimeDeath, AChildsThrowOnTheHostReachesTheCallerOnce) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        parallel_runtime rt(1);
+        try {
+          rt.run([&] {
+            rt.spawn([] { throw std::runtime_error("child failed"); });
+            rt.sync();
+          });
+        } catch (const std::runtime_error&) {
+          rt.run([] {});
+        }
+      },
+      "exception escaped a task");
+}
+
+TEST(ParallelRuntimeDeath, SecondGetOfASingleTouchFutureAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        parallel_runtime rt(2);
+        rt.enforce_single_touch(true);
+        rt.run([&] {
+          auto f = rt.create_future([] { return 1; });
+          rt.get(f);
+          rt.get(f);
+        });
+      },
+      "single-touch");
+}
+
 TEST(ParallelRuntime, ActuallyRunsConcurrently) {
   // Two tasks that each wait for the other to have started: only terminates
   // if they genuinely overlap in time.
@@ -228,20 +292,6 @@ TEST(SerialPosition, PathsDeeperThanTheInlineLevelsCompareExactly) {
   }
 }
 
-// parallel_runtime::run joins spawned children only. The fuzz executor
-// expects run() to finish every created future too, as online::runtime's
-// does, so this adapter quiesces before the root returns.
-struct quiescing_runtime : parallel_runtime {
-  using parallel_runtime::parallel_runtime;
-  template <typename F>
-  void run(F&& root) {
-    parallel_runtime::run([&] {
-      root();
-      quiesce();
-    });
-  }
-};
-
 // Fuzz plans mix spawn trees, futures touched from other branches, and
 // gets that must first wait for their future's creation. Those are the
 // shapes under which helping a wait with an arbitrary task could stack a
@@ -264,7 +314,7 @@ TEST(ParallelRuntime, FuzzPlansCompleteAtEveryWidth) {
       }
       const graph::fuzz_plan plan = graph::plan_fuzz(cfg);
       for (const unsigned workers : {1u, 2u, 3u, 4u}) {
-        quiescing_runtime rt(workers);
+        parallel_runtime rt(workers);
         const graph::fuzz_result res =
             graph::run_fuzz_plan(rt, plan, [](std::uint32_t, bool) {});
         EXPECT_EQ(res.gets, plan.expected_gets)
