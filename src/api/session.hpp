@@ -113,10 +113,9 @@ class session {
     // shadow::store_error.
     std::string shadow_store = std::string(shadow::kDefaultStore);
     // Replay only: longest run of access events handed to the detector in
-    // one batched on_accesses call (trace_player::kDefaultBatchCapacity).
-    // Also bounds how many accesses share one batched reachability query;
-    // bench/replay_throughput --batch-size sweeps it. The race report is
-    // batch-size-independent.
+    // one batched on_accesses call (trace_player::kDefaultBatchCapacity);
+    // bench/replay_throughput --batch-size sweeps it. The race report and
+    // the query-plane counters are batch-size-independent.
     std::size_t replay_batch = 256;
     // Which runtime run() executes the program on. serial is the paper's
     // substrate; parallel runs the program on the work-stealing scheduler
@@ -289,14 +288,16 @@ class session {
   std::uint64_t structured_violations() const {
     return det_->structured_violations();
   }
-  // Query-plane counters: batching effectiveness of this session's
-  // reachability queries (lookups, epoch-cache hits, issued batches).
+  // Query-plane counters: how this session's reachability questions were
+  // answered (lookups, epoch-cache hits, backend calls).
   const detect::query_plane_stats& query_stats() const {
     return det_->query_stats();
   }
-  // One-element wrapper over the backend's reachability_view (the query
-  // plane's only scalar entry point) — for tests and diagnostics.
-  bool precedes_current(rt::strand_id u) { return det_->precedes_current(u); }
+  // The backend's answer to "does strand u precede the currently executing
+  // strand?" — for tests and diagnostics.
+  bool precedes_current(rt::strand_id u) {
+    return det_->backend().precedes_current(u);
+  }
 
   // Explicit instrumentation points — exactly what hooks::active emits.
   // Tests and uninstrumented callers mark accesses with these. In record

@@ -113,8 +113,8 @@ void run_mm(session& s, std::uint64_t seed) {
 // The same kernel an order of magnitude up (ROADMAP "corpus at scale"):
 // n=28 with 7-wide blocks emits ~55k access events in ~784-access runs per
 // future body — runs that overflow the player's default 256-entry batch
-// capacity, so multi-page batches and the query plane's dedup path are
-// exercised for real, not just at repro size.
+// capacity, so runs split across batches and shadow pages are exercised
+// for real, not just at repro size.
 void run_mm_large(session& s, std::uint64_t seed) {
   const auto in = bench::make_mm_input(28, seed);
   const auto want = bench::mm_reference(in);

@@ -1,19 +1,12 @@
-// The reachability query plane shared by all backends (DESIGN.md §4).
+// The reachability query shared by all backends (DESIGN.md §4).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "runtime/events.hpp"
-#include "support/check.hpp"
 
 namespace frd::detect {
-
-class reachability_backend;
 
 // A reachability backend consumes the runtime's dag-growth events and
 // answers the only query a determinacy race detector needs (paper §3):
@@ -21,60 +14,19 @@ class reachability_backend;
 // strand?" (If not, they are logically parallel — the current strand cannot
 // be preceded by u's successors, which have not executed yet.)
 //
-// Queries go through an explicit query object, the reachability_view: a
-// snapshot of the relation against the current strand, valid between two
-// dag-growth events. Every dag event advances the owning backend's version()
-// epoch, which invalidates outstanding views; a view refreshes its
-// batch-invariant state lazily when queried under a newer epoch. Within one
-// epoch a view's ANSWERS are immutable, which is the seam a parallel
-// detector needs — but query() is not yet safe to call concurrently: views
-// mutate private scratch/caches and bag lookups path-compress, so the
-// parallel-detection PR must add per-worker views (or internal
-// synchronization) on top of this epoch contract.
-class reachability_view {
- public:
-  virtual ~reachability_view() = default;
-
-  // Batched query: out[i] = "strands[i] precedes the current strand", for
-  // each i. strands may be unsorted and carry duplicates; out must be the
-  // same length. Backends answer the batch's unique strands against one
-  // traversal/lookup pass of their structure (answer_strand_batch below),
-  // not a per-element loop over independent scalar lookups.
-  virtual void query(std::span<const rt::strand_id> strands,
-                     std::span<bool> out) = 0;
-
-  // The epoch this view answers for. Delegates to the owning backend, so a
-  // dag event observably invalidates every outstanding view at once.
-  std::uint64_t version() const;
-
-  // The one-element compatibility wrapper — the only scalar entry point of
-  // the query plane. Everything else (detector, session, tests) routes
-  // through it or through query() directly.
-  bool precedes_current(rt::strand_id u) {
-    bool out = false;
-    query({&u, 1}, {&out, 1});
-    return out;
-  }
-
- protected:
-  explicit reachability_view(const reachability_backend& owner)
-      : owner_(owner) {}
-  reachability_view(const reachability_view&) = delete;
-  reachability_view& operator=(const reachability_view&) = delete;
-
- private:
-  const reachability_backend& owner_;
-};
-
+// Every dag event advances version() before the backend's handler runs, so
+// an answer holds for one epoch, the stretch between two dag events. The
+// detector caches answers per epoch on that stamp, and a backend may hoist
+// the current-strand side of its query once per epoch the same way
+// (multibags_plus). precedes_current is not safe to call concurrently: bag
+// lookups path-compress.
 class reachability_backend : public rt::execution_listener {
  public:
-  // The backend's query object for the current epoch. The reference stays
-  // valid for the backend's lifetime; its answers are only meaningful until
-  // the next dag-growth event (version() advances).
-  virtual reachability_view& view() = 0;
+  // The §3 query: u precedes the currently executing strand.
+  virtual bool precedes_current(rt::strand_id u) = 0;
 
   // Epoch stamp: advanced by every dag-growth event, before the backend's
-  // handler runs. Views compare against it to refresh cached state.
+  // handler runs.
   std::uint64_t version() const { return version_; }
 
   virtual std::string_view name() const = 0;
@@ -83,8 +35,8 @@ class reachability_backend : public rt::execution_listener {
   virtual std::uint64_t structured_violations() const { return 0; }
 
   // execution_listener — final on purpose: the base class owns the epoch,
-  // so no backend can forget to invalidate outstanding views. Backends
-  // override the handle_* hooks instead.
+  // so no backend can forget to advance it. Backends override the handle_*
+  // hooks instead.
   void on_program_begin(rt::func_id f, rt::strand_id s) final {
     ++version_;
     handle_program_begin(f, s);
@@ -137,73 +89,5 @@ class reachability_backend : public rt::execution_listener {
  private:
   std::uint64_t version_ = 0;
 };
-
-inline std::uint64_t reachability_view::version() const {
-  return owner_.version();
-}
-
-// Scratch space reused across answer_strand_batch calls (sorted unique
-// strands + their answers), owned by the view that batches with it.
-struct batch_scratch {
-  std::vector<rt::strand_id> strands;
-  std::vector<std::uint8_t> answers;
-};
-
-// Contiguous bool storage for query() output spans (std::vector<bool> is
-// packed and cannot hand out bool*). Grows geometrically, never shrinks.
-class bool_buffer {
- public:
-  std::span<bool> span(std::size_t n) {
-    if (n > cap_) {
-      cap_ = std::max(n, cap_ * 2);
-      data_ = std::make_unique<bool[]>(cap_);
-    }
-    return {data_.get(), n};
-  }
-
- private:
-  std::unique_ptr<bool[]> data_;
-  std::size_t cap_ = 0;
-};
-
-// Shared batch plumbing for view implementations: reduces the batch to its
-// sorted unique strands, invokes `answer(u)` exactly once per distinct
-// strand, and scatters the results into out. A batch that is already sorted
-// and duplicate-free — what the detector's per-epoch cache emits — is
-// answered in place with no scratch work; the general path sorts/dedups
-// into `scratch` and resolves each output by binary search.
-template <typename Answer>
-void answer_strand_batch(std::span<const rt::strand_id> strands,
-                         std::span<bool> out, batch_scratch& scratch,
-                         Answer&& answer) {
-  FRD_CHECK_MSG(strands.size() == out.size(),
-                "reachability_view::query needs out.size() == strands.size()");
-  bool sorted_unique = true;
-  for (std::size_t i = 1; i < strands.size(); ++i) {
-    if (strands[i - 1] >= strands[i]) {
-      sorted_unique = false;
-      break;
-    }
-  }
-  if (sorted_unique) {
-    for (std::size_t i = 0; i < strands.size(); ++i) out[i] = answer(strands[i]);
-    return;
-  }
-  scratch.strands.assign(strands.begin(), strands.end());
-  std::sort(scratch.strands.begin(), scratch.strands.end());
-  scratch.strands.erase(
-      std::unique(scratch.strands.begin(), scratch.strands.end()),
-      scratch.strands.end());
-  scratch.answers.resize(scratch.strands.size());
-  for (std::size_t i = 0; i < scratch.strands.size(); ++i) {
-    scratch.answers[i] = answer(scratch.strands[i]) ? 1 : 0;
-  }
-  for (std::size_t i = 0; i < strands.size(); ++i) {
-    const auto it = std::lower_bound(scratch.strands.begin(),
-                                     scratch.strands.end(), strands[i]);
-    out[i] = scratch.answers[static_cast<std::size_t>(
-                 it - scratch.strands.begin())] != 0;
-  }
-}
 
 }  // namespace frd::detect

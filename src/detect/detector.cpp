@@ -1,6 +1,5 @@
 #include "detect/detector.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <string>
 
@@ -98,8 +97,6 @@ void detector::reset(std::unique_ptr<reachability_backend> fresh_backend) {
   current_ = rt::kNoStrand;
   accesses_ = 0;
   gets_ = 0;
-  pending_.clear();
-  query_buf_.clear();
   qcache_.clear();  // entries re-materialize zero-stamped (epoch-invalid)
   qstats_ = {};
   race_sink_ = nullptr;  // per-run observer; a stale capture must not leak
@@ -185,7 +182,6 @@ void detector::on_read(const void* p, std::size_t bytes) {
     ++accesses_;
     if (full) check_read(a);
   });
-  if (full) flush_pending();
 }
 
 void detector::on_write(const void* p, std::size_t bytes) {
@@ -194,23 +190,21 @@ void detector::on_write(const void* p, std::size_t bytes) {
     ++accesses_;
     if (full) check_write(a);
   });
-  if (full) flush_pending();
 }
 
 // Replay hot path: a whole run of pre-granulated accesses behind ONE virtual
 // call, so neither the per-access dispatch nor the granule splitting of the
-// live path is paid per event. Each element is one granule access. The
-// whole run's reachability questions resolve in one flush — and therefore
-// at most one view query — at the end.
+// live path is paid per event. Each element is one granule access.
 void detector::on_accesses(std::span<const hooks::access> batch,
                            std::size_t /*bytes*/) {
   accesses_ += batch.size();
   if (cfg_.lvl != level::full) return;
   // Per-epoch sampling decides whole runs at once: dag events are the epoch
   // barrier, so the backend version is constant across this batch and a
-  // skipped epoch's accesses bypass the loop, the store, and the query
-  // plane entirely. (Admitted runs fall through; the per-access counting in
-  // check_read/check_write then sees the same admit answer.)
+  // skipped epoch's accesses bypass the loop, the store, and the
+  // reachability query entirely. (Admitted runs fall through; the
+  // per-access counting in check_read/check_write then sees the same admit
+  // answer.)
   if (sampling_active_ && cfg_.sampling == sample_policy::epoch &&
       !sample_admits(backend_->version())) {
     qstats_.skipped += batch.size();
@@ -225,7 +219,6 @@ void detector::on_accesses(std::span<const hooks::access> batch,
       check_read(g);
     }
   }
-  flush_pending();
   // Run boundaries are the peak sampling points (the per-access loop is too
   // hot); store reservations are monotone within a run, so this is exact.
   note_memory_peak();
@@ -253,8 +246,8 @@ void detector::check_read(std::uintptr_t addr) {
 // recorded reader; then purge the reader list and take over as last-writer
 // (§3: any later strand parallel to a purged reader is also parallel to
 // this write). The store surfaces each prior access through the callback —
-// previous writer first, then readers in append order, preserving report
-// order through the in-order flush.
+// previous writer first, then readers in append order, which is the order
+// races are recorded in.
 void detector::check_write(std::uintptr_t addr) {
   if (sampling_active_) {
     if (!admit_access(addr)) {
@@ -270,13 +263,11 @@ void detector::check_write(std::uintptr_t addr) {
   });
 }
 
-// Queues one §3 race candidate. The answer for `prior` is either already in
-// the epoch cache (a hit — no query work) or `prior` joins the current
-// run's query batch, deduplicated by marking its cache slot kQueued. A
-// cached kPreceding answer skips the pending list entirely — such a
-// candidate can never record a race, so dropping it here keeps race-free
-// runs (the common case) off the flush loop without perturbing report
-// order.
+// Resolves one §3 race candidate, out of line so the store loops stay
+// small. The epoch cache answers a strand already asked about since the
+// last dag event; a miss asks the backend once and caches its answer for the
+// rest of the epoch. A prior that does not precede the current strand is a
+// race, recorded here in encounter order.
 void detector::note_prior(std::uintptr_t addr, rt::strand_id prior,
                           bool prior_is_write, bool current_is_write) {
   ++qstats_.lookups;
@@ -285,46 +276,18 @@ void detector::note_prior(std::uintptr_t addr, rt::strand_id prior,
   cache_entry& e = qcache_[prior];
   if (e.stamp == stamp) {
     ++qstats_.cache_hits;
-    if (e.state == kPreceding) return;
   } else {
     e.stamp = stamp;
-    e.state = kQueued;
-    query_buf_.push_back(prior);
-  }
-  pending_.push_back(candidate{addr, prior, prior_is_write, current_is_write});
-}
-
-// Resolves the access run: answers the not-yet-cached strands with ONE
-// batched view query (sorted and unique — the views' fast path), then
-// records races for the candidates in encounter order, exactly where the
-// scalar protocol would have recorded them.
-void detector::flush_pending() {
-  if (pending_.empty()) return;
-  const std::uint64_t stamp = backend_->version() + 1;
-  if (!query_buf_.empty()) {
-    std::sort(query_buf_.begin(), query_buf_.end());
-    std::span<bool> out = qout_.span(query_buf_.size());
-    backend_->view().query(query_buf_, out);
+    e.precedes = backend_->precedes_current(prior);
     ++qstats_.batches;
-    qstats_.strands += query_buf_.size();
-    for (std::size_t i = 0; i < query_buf_.size(); ++i) {
-      qcache_[query_buf_[i]].state = out[i] ? kPreceding : kNotPreceding;
-    }
-    query_buf_.clear();
+    ++qstats_.strands;
   }
-  for (const candidate& c : pending_) {
-    const cache_entry& e = qcache_[c.prior];
-    FRD_DCHECK(e.stamp == stamp && e.state != kQueued);
-    (void)stamp;
-    if (e.state == kNotPreceding) {
-      const race r{c.addr, c.prior,
-                   c.prior_is_write ? access_kind::write : access_kind::read,
-                   current_,
-                   c.current_is_write ? access_kind::write : access_kind::read};
-      if (report_.record(r) && race_sink_) race_sink_(r);
-    }
-  }
-  pending_.clear();
+  if (e.precedes) return;
+  const race r{addr, prior,
+               prior_is_write ? access_kind::write : access_kind::read,
+               current_,
+               current_is_write ? access_kind::write : access_kind::read};
+  if (report_.record(r) && race_sink_) race_sink_(r);
 }
 
 }  // namespace frd::detect

@@ -23,15 +23,12 @@
 // The detector itself is backend-agnostic: it consumes runtime events,
 // forwards them when the level tracks reachability, enforces the backend's
 // declared capability envelope (future_support), and implements the §3
-// access protocol on top of the backend's reachability_view and its shadow
-// store's read_step/write_step. Reachability questions are BATCHED
-// (DESIGN.md §4): each access run's store steps only collect race
-// candidates; the distinct prior strands not already answered by the
-// per-epoch strand cache go to the view in one query() call, and the
-// candidates are then resolved against the cache in encounter order — so
-// the report is byte-identical to the scalar protocol's. Dag events advance
-// the backend's epoch, which invalidates the cache wholesale (entries are
-// epoch-stamped; nothing is swept).
+// access protocol on top of the backend's precedes_current and its shadow
+// store's read_step/write_step (DESIGN.md §4). Each race candidate a store
+// step surfaces is resolved on the spot: a per-epoch strand cache answers a
+// strand already asked about since the last dag event, and a miss asks the
+// backend once. Dag events advance the backend's epoch, which invalidates
+// the cache wholesale (entries are epoch-stamped; nothing is swept).
 //
 // Accesses arrive through two access_sink paths: the per-access on_read /
 // on_write hooks (live instrumented kernels; arbitrary byte spans, split
@@ -43,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,16 +92,17 @@ struct detector_config {
   future_support futures = future_support::general;
 };
 
-// Query-plane counters: how effectively the §3 protocol's reachability
-// questions batch. lookups counts every question the protocol asked;
-// cache_hits the ones answered by the per-epoch strand cache without
-// touching the view; batches/strands what actually crossed the
-// reachability_view::query boundary. (frd-trace run prints these.)
+// Query-plane counters: how the §3 protocol's reachability questions were
+// answered. lookups counts every question the protocol asked; cache_hits
+// the ones answered by the per-epoch strand cache; strands the rest, each
+// one precedes_current call on the backend. (frd-trace run prints these.)
 struct query_plane_stats {
   std::uint64_t lookups = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t batches = 0;   // view.query() calls issued
-  std::uint64_t strands = 0;   // unique strands across all issued batches
+  // Backend calls. Each call answers one strand, so this always equals
+  // strands; perfbench's layer table still reads strands / batches.
+  std::uint64_t batches = 0;
+  std::uint64_t strands = 0;   // backend precedes_current calls
   // Sampling-mode counters (both 0 when sample_rate == 1.0): accesses the
   // active policy admitted into the protocol vs carved out before the
   // store step. sampled + skipped == the full-detection access count.
@@ -183,13 +182,6 @@ class detector final : public rt::execution_listener, public hooks::access_sink 
   void on_accesses(std::span<const hooks::access> batch,
                    std::size_t bytes) override;
 
-  // Reachability query against the currently executing strand; exposed for
-  // the oracle-validation tests. A thin one-element wrapper over the
-  // backend's view (the query plane's only scalar entry point).
-  bool precedes_current(rt::strand_id u) {
-    return backend_->view().precedes_current(u);
-  }
-
   // Replay fast path for the granule sampling policy (DESIGN.md §8): the
   // returned filter is armed iff granule sampling is active at level::full,
   // and session::replay installs it on the trace player so sampled-out
@@ -230,24 +222,14 @@ class detector final : public rt::execution_listener, public hooks::access_sink 
               rt::strand_id w, rt::strand_id creator) override;
 
  private:
-  // One race candidate surfaced by a store step: resolved against the
-  // epoch cache at the end of the access run (flush_pending), preserving
-  // encounter order so reports match the scalar protocol byte for byte.
-  struct candidate {
-    std::uintptr_t addr;
-    rt::strand_id prior;
-    bool prior_is_write;
-    bool current_is_write;
-  };
   // Per-epoch strand→answer cache entry. Valid iff stamp == backend version
   // + 1 (the +1 keeps the zero-initialized entries invalid at epoch 0), so
   // dag events invalidate the whole cache by advancing the version —
   // nothing is swept on the event path.
   struct cache_entry {
     std::uint64_t stamp = 0;
-    std::uint8_t state = 0;  // kNotPreceding / kPreceding / kQueued
+    bool precedes = false;
   };
-  static constexpr std::uint8_t kNotPreceding = 0, kPreceding = 1, kQueued = 2;
 
   void check_read(std::uintptr_t addr);
   void check_write(std::uintptr_t addr);
@@ -268,7 +250,6 @@ class detector final : public rt::execution_listener, public hooks::access_sink 
   }
   void note_prior(std::uintptr_t addr, rt::strand_id prior, bool prior_is_write,
                   bool current_is_write);
-  void flush_pending();
   // Folds the current footprint into the peak_* high-water marks.
   void note_memory_peak() const;
 
@@ -286,13 +267,7 @@ class detector final : public rt::execution_listener, public hooks::access_sink 
   rt::strand_id current_ = rt::kNoStrand;
   std::uint64_t accesses_ = 0;
   std::uint64_t gets_ = 0;
-  // Query-plane state (see the header comment): candidates of the access
-  // run in flight, the not-yet-answered strands destined for one view
-  // query, the epoch cache, and the query output buffer.
-  std::vector<candidate> pending_;
-  std::vector<rt::strand_id> query_buf_;
-  std::vector<cache_entry> qcache_;
-  bool_buffer qout_;
+  std::vector<cache_entry> qcache_;  // the epoch cache, indexed by strand
   query_plane_stats qstats_;
   std::function<void(const race&)> race_sink_;
   // High-water marks behind memory_stats::peak_*; mutable because memory()

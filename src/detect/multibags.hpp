@@ -16,9 +16,9 @@ namespace frd::detect {
 
 class multibags final : public reachability_backend {
  public:
-  multibags() : view_(*this) {}
-
-  reachability_view& view() override { return view_; }
+  // Query (paper Figure 1 bottom): u precedes the current strand iff u's set
+  // is an S-bag.
+  bool precedes_current(rt::strand_id u) override { return bags_.in_s_bag(u); }
   std::string_view name() const override { return "multibags"; }
   std::uint64_t structured_violations() const override { return violations_; }
 
@@ -40,27 +40,8 @@ class multibags final : public reachability_backend {
                   rt::strand_id creator) override;
 
  private:
-  // Query (paper Figure 1 bottom): u precedes the current strand iff u's set
-  // is an S-bag. The batch sweep does one DSU find per unique strand.
-  class bag_view final : public reachability_view {
-   public:
-    explicit bag_view(multibags& owner)
-        : reachability_view(owner), owner_(owner) {}
-    void query(std::span<const rt::strand_id> strands,
-               std::span<bool> out) override {
-      answer_strand_batch(strands, out, scratch_, [this](rt::strand_id u) {
-        return owner_.bags_.in_s_bag(u);
-      });
-    }
-
-   private:
-    multibags& owner_;
-    batch_scratch scratch_;
-  };
-
   sp_bags bags_;
   std::uint64_t violations_ = 0;
-  bag_view view_;
 };
 
 }  // namespace frd::detect

@@ -3,47 +3,45 @@
 namespace frd::detect {
 
 // ---------------------------------------------------------------------------
-// Query (paper Figure 3), batched.
+// Query (paper Figure 3).
 // ---------------------------------------------------------------------------
 // Lines 3-5, once per epoch: proxy the current strand v through its attached
 // predecessor and pin that node's R predecessor row. The row reference stays
 // valid for the whole epoch — R only grows in dag-event handlers, which
 // advance the version first.
-void multibags_plus::figure3_view::refresh() {
-  nsp_set* sv = owner_.dnsp_.payload(owner_.elem(owner_.current_));
+void multibags_plus::refresh_current_row() {
+  nsp_set* sv = dnsp_.payload(elem(current_));
   FRD_CHECK(sv != nullptr);
   if (!sv->attached) sv = sv->att_pred;
   FRD_CHECK(sv != nullptr && sv->attached);
-  preds_of_current_ = &owner_.r_.preds_of(sv->r_node);
-  cached_version_ = version() + 1;
+  preds_of_current_ = &r_.preds_of(sv->r_node);
+  row_version_ = version() + 1;
 }
 
-void multibags_plus::figure3_view::query(
-    std::span<const rt::strand_id> strands, std::span<bool> out) {
-  if (cached_version_ != version() + 1) refresh();
+bool multibags_plus::precedes_current(rt::strand_id u) {
+  if (row_version_ != version() + 1) refresh_current_row();
+
+  // Lines 1-2: a path with no get edges shows up as an S-bag hit.
+  if (dsp_.in_s_bag(u)) return true;
+
+  // Lines 6-9: proxy u through its attached successor; no successor means
+  // nothing after u's complete SP subdag has executed yet, so u is parallel
+  // to the current strand (Lemma A.11).
+  nsp_set* su = dnsp_.payload(elem(u));
+  FRD_CHECK(su != nullptr);
+  if (!su->attached) {
+    su = su->att_succ;
+    if (su == nullptr) return false;
+  }
+  FRD_CHECK(su->attached);
+
+  // Line 10: strict reachability in R, as one bit test in the hoisted
+  // predecessor row (preds never contain the node itself, so equal sets test
+  // false — when the true relation is "precedes", the witness path is
+  // SP-only and was already caught by the S-bag hit; DESIGN.md §5, Lemmas
+  // A.3/A.8).
   const bitvec& row = *preds_of_current_;
-  answer_strand_batch(strands, out, scratch_, [&](rt::strand_id u) {
-    // Lines 1-2: a path with no get edges shows up as an S-bag hit.
-    if (owner_.dsp_.in_s_bag(u)) return true;
-
-    // Lines 6-9: proxy u through its attached successor; no successor means
-    // nothing after u's complete SP subdag has executed yet, so u is
-    // parallel to the current strand (Lemma A.11).
-    nsp_set* su = owner_.dnsp_.payload(owner_.elem(u));
-    FRD_CHECK(su != nullptr);
-    if (!su->attached) {
-      su = su->att_succ;
-      if (su == nullptr) return false;
-    }
-    FRD_CHECK(su->attached);
-
-    // Line 10: strict reachability in R, as one bit test in the hoisted
-    // predecessor row (preds never contain the node itself, so equal sets
-    // test false — when the true relation is "precedes", the witness path
-    // is SP-only and was already caught by the S-bag hit; DESIGN.md §5,
-    // Lemmas A.3/A.8).
-    return row.size() > su->r_node && row.test(su->r_node);
-  });
+  return row.size() > su->r_node && row.test(su->r_node);
 }
 
 // ---------------------------------------------------------------------------

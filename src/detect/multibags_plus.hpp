@@ -14,10 +14,9 @@
 //          (rgraph.hpp).
 //
 // Query (paper Figure 3): S-bag hit, else proxy u through attSucc and v
-// through attPred and ask R. The batched view hoists the v side — the
-// current strand's attached predecessor and its R predecessor row — once
-// per epoch, so a batch costs one row lookup plus one bit test (and a DSU
-// find) per unique strand.
+// through attPred and ask R. The v side — the current strand's attached
+// predecessor and its R predecessor row — is hoisted once per epoch, so a
+// query costs a DSU find plus one bit test in that row.
 //
 // Attached-set payloads are arena-allocated and *stable*: two attached sets
 // never union, and attached ∪ unattached keeps the attached payload, so the
@@ -25,18 +24,19 @@
 // (Lemma A.7: those proxies always reference attached sets).
 #pragma once
 
+#include <vector>
+
 #include "detect/backend.hpp"
 #include "detect/rgraph.hpp"
 #include "detect/sp_bags.hpp"
 #include "support/arena.hpp"
+#include "support/check.hpp"
 
 namespace frd::detect {
 
 class multibags_plus final : public reachability_backend {
  public:
-  multibags_plus() : view_(*this) {}
-
-  reachability_view& view() override { return view_; }
+  bool precedes_current(rt::strand_id u) override;
   std::string_view name() const override { return "multibags+"; }
 
   const dsu::forest_stats& dsp_stats() const { return dsp_.stats(); }
@@ -69,25 +69,9 @@ class multibags_plus final : public reachability_backend {
     rgraph::node r_node = rgraph::kNoNode;
   };
 
-  // Figure 3's query with the current-strand side precomputed: refresh()
-  // resolves the attached predecessor of the current strand and pins its R
-  // predecessor row once per epoch; each unique strand then costs an S-bag
-  // find plus one bit test in that row.
-  class figure3_view final : public reachability_view {
-   public:
-    explicit figure3_view(multibags_plus& owner)
-        : reachability_view(owner), owner_(owner) {}
-    void query(std::span<const rt::strand_id> strands,
-               std::span<bool> out) override;
-
-   private:
-    void refresh();
-
-    multibags_plus& owner_;
-    batch_scratch scratch_;
-    std::uint64_t cached_version_ = 0;  // 0 = never refreshed (version_ + 1)
-    const bitvec* preds_of_current_ = nullptr;  // R row of the v-side proxy
-  };
+  // Figure 3 lines 3-5 for the current epoch: pins the R predecessor row of
+  // the current strand's attached predecessor.
+  void refresh_current_row();
 
   // --- element plumbing -----------------------------------------------
   dsu::element elem(rt::strand_id s) {
@@ -120,7 +104,10 @@ class multibags_plus final : public reachability_backend {
   rgraph r_;
   arena arena_;
   rt::strand_id current_ = rt::kNoStrand;
-  figure3_view view_;
+  // The query's hoisted v side: valid while row_version_ == version() + 1
+  // (0 = never refreshed).
+  std::uint64_t row_version_ = 0;
+  const bitvec* preds_of_current_ = nullptr;
 };
 
 }  // namespace frd::detect

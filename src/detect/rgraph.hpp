@@ -6,9 +6,9 @@
 // via parallel bit operations."
 //
 // The matrix is stored as PREDECESSOR rows only (to_[i]: every node with a
-// path to i) — the one direction every consumer reads: the query plane
-// resolves whole strand batches against preds_of, and reaches(a, b) is a
-// bit test in to_[b]. Successor rows used to be maintained symmetrically,
+// path to i) — the one direction every consumer reads: the multibags+
+// query tests strands against preds_of, and reaches(a, b) is a bit test in
+// to_[b]. Successor rows used to be maintained symmetrically,
 // but almost every arc the §5 handlers add lands on a freshly created sink
 // node (create/get/attachify make the target node just before the arc), and
 // keeping successor rows closed charges every such arc O(|ancestors(a)|)
@@ -51,8 +51,8 @@ class rgraph {
 
   // Predecessor row of b: every node with a path to b (never b itself —
   // R is acyclic and self-arcs are dropped). Reference valid until the next
-  // add_node/add_arc. The query plane's batch pass resolves many sources
-  // against one destination through this row: reaches(a, b) == (row has a).
+  // add_node/add_arc. multibags+ pins the current strand's row once per
+  // epoch and tests every queried source in it: reaches(a, b) == (row has a).
   const bitvec& preds_of(node b) const {
     FRD_DCHECK(b < to_.size());
     return to_[b];

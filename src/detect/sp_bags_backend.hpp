@@ -12,14 +12,14 @@
 
 #include "detect/backend.hpp"
 #include "detect/sp_bags.hpp"
+#include "support/check.hpp"
 
 namespace frd::detect {
 
 class sp_bags_backend final : public reachability_backend {
  public:
-  sp_bags_backend() : view_(*this) {}
-
-  reachability_view& view() override { return view_; }
+  // Same query as MultiBags: S-bag membership.
+  bool precedes_current(rt::strand_id u) override { return bags_.in_s_bag(u); }
   std::string_view name() const override { return "sp-bags"; }
 
   const dsu::forest_stats& dsu_stats() const { return bags_.stats(); }
@@ -57,26 +57,7 @@ class sp_bags_backend final : public reachability_backend {
   }
 
  private:
-  // Same query as MultiBags: S-bag membership, one DSU find per unique
-  // strand of the batch.
-  class bag_view final : public reachability_view {
-   public:
-    explicit bag_view(sp_bags_backend& owner)
-        : reachability_view(owner), owner_(owner) {}
-    void query(std::span<const rt::strand_id> strands,
-               std::span<bool> out) override {
-      answer_strand_batch(strands, out, scratch_, [this](rt::strand_id u) {
-        return owner_.bags_.in_s_bag(u);
-      });
-    }
-
-   private:
-    sp_bags_backend& owner_;
-    batch_scratch scratch_;
-  };
-
   sp_bags bags_;
-  bag_view view_;
 };
 
 }  // namespace frd::detect

@@ -12,6 +12,7 @@
 // that gap measurable.
 #pragma once
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -22,9 +23,12 @@ namespace frd::detect {
 
 class vector_clock_backend final : public reachability_backend {
  public:
-  vector_clock_backend() : view_(*this) {}
-
-  reachability_view& view() override { return view_; }
+  // One position lookup and one compare against the current clock.
+  bool precedes_current(rt::strand_id u) override {
+    FRD_DCHECK(u < strands_.size());
+    const strand_pos& p = strands_[u];
+    return p.fn < cur_.size() && cur_[p.fn] >= p.idx;
+  }
   std::string_view name() const override { return "vector-clock"; }
 
   // Total clock entries ever copied/merged — the Θ(n) per construct cost.
@@ -83,27 +87,6 @@ class vector_clock_backend final : public reachability_backend {
     std::uint32_t idx = 0;
   };
 
-  // The batch pass is one sweep over the current clock: every unique strand
-  // costs a single position lookup and one compare against cur_.
-  class clock_view final : public reachability_view {
-   public:
-    explicit clock_view(vector_clock_backend& owner)
-        : reachability_view(owner), owner_(owner) {}
-    void query(std::span<const rt::strand_id> strands,
-               std::span<bool> out) override {
-      const std::vector<std::uint32_t>& cur = owner_.cur_;
-      answer_strand_batch(strands, out, scratch_, [&](rt::strand_id u) {
-        FRD_DCHECK(u < owner_.strands_.size());
-        const strand_pos& p = owner_.strands_[u];
-        return p.fn < cur.size() && cur[p.fn] >= p.idx;
-      });
-    }
-
-   private:
-    vector_clock_backend& owner_;
-    batch_scratch scratch_;
-  };
-
   void begin_strand(rt::strand_id s, rt::func_id f) {
     // Resuming a continuation restores the clock snapshot taken at the fork.
     auto it = saved_.find(s);
@@ -141,7 +124,6 @@ class vector_clock_backend final : public reachability_backend {
   std::unordered_map<rt::strand_id, std::vector<std::uint32_t>> saved_;
   std::unordered_map<rt::func_id, std::vector<std::uint32_t>> final_;
   std::uint64_t clock_work_ = 0;
-  clock_view view_;
 };
 
 }  // namespace frd::detect

@@ -29,8 +29,8 @@ class online_oracle final : public rt::execution_listener {
   }
 
   // v's full ancestor row (null when v is unknown); bit u set iff u ≺ v.
-  // Reference valid until the next dag event. The oracle backend's batched
-  // view answers a whole batch against this one row.
+  // Reference valid until the next dag event. The oracle backend answers
+  // its queries against the current strand's row.
   const bitvec* anc_row(rt::strand_id v) const {
     return v < anc_.size() ? &anc_[v] : nullptr;
   }

@@ -15,9 +15,11 @@ namespace frd::graph {
 
 class oracle_backend final : public detect::reachability_backend {
  public:
-  oracle_backend() : view_(*this) {}
-
-  detect::reachability_view& view() override { return view_; }
+  // One bit test in the current strand's ancestor row.
+  bool precedes_current(rt::strand_id u) override {
+    const bitvec* row = oracle_.anc_row(current_);
+    return row != nullptr && row->size() > u && row->test(u);
+  }
   std::string_view name() const override { return "reference"; }
 
   const online_oracle& oracle() const { return oracle_; }
@@ -49,30 +51,8 @@ class oracle_backend final : public detect::reachability_backend {
   }
 
  private:
-  // The whole batch answers against the current strand's one ancestor row:
-  // a bit test per unique strand.
-  class anc_row_view final : public detect::reachability_view {
-   public:
-    explicit anc_row_view(oracle_backend& owner)
-        : reachability_view(owner), owner_(owner) {}
-    void query(std::span<const rt::strand_id> strands,
-               std::span<bool> out) override {
-      const bitvec* row = owner_.oracle_.anc_row(owner_.current_);
-      detect::answer_strand_batch(strands, out, scratch_,
-                                  [row](rt::strand_id u) {
-                                    return row != nullptr && row->size() > u &&
-                                           row->test(u);
-                                  });
-    }
-
-   private:
-    oracle_backend& owner_;
-    detect::batch_scratch scratch_;
-  };
-
   online_oracle oracle_;
   rt::strand_id current_ = rt::kNoStrand;
-  anc_row_view view_;
 };
 
 }  // namespace frd::graph

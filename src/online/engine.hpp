@@ -85,8 +85,8 @@ class engine final : public rt::parallel_observer {
     bool elide_repeats = false;
   };
 
-  // Longest access run the pump hands to one on_accesses call; a replay
-  // given it as its batch capacity batches exactly as the pump does.
+  // Longest access run the pump hands to one on_accesses call. The
+  // detector's output and counters do not depend on it.
   static constexpr std::size_t kBatchCapacity = 4096;
 
   explicit engine(const config& cfg);

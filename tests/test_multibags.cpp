@@ -53,7 +53,7 @@ TEST_P(BothBackends, PaperFigure2Scenario) {
 
   rt::future<int> hD, hE, hF, hC, hB;
 
-  auto precedes = [&](strand_id u) { return backend->view().precedes_current(u); };
+  auto precedes = [&](strand_id u) { return backend->precedes_current(u); };
 
   rt.run([&] {
     a1 = rt.current_strand();
@@ -152,9 +152,9 @@ TEST_P(BothBackends, SpawnContinuationIsParallel) {
   strand_id child = rt::kNoStrand;
   rt.run([&] {
     rt.spawn([&] { child = rt.current_strand(); });
-    EXPECT_FALSE(backend->view().precedes_current(child));
+    EXPECT_FALSE(backend->precedes_current(child));
     rt.sync();
-    EXPECT_TRUE(backend->view().precedes_current(child));
+    EXPECT_TRUE(backend->precedes_current(child));
   });
 }
 
@@ -165,10 +165,10 @@ TEST_P(BothBackends, SiblingSpawnsAreParallel) {
   rt.run([&] {
     rt.spawn([&] { first = rt.current_strand(); });
     rt.spawn([&] {
-      EXPECT_FALSE(backend->view().precedes_current(first));
+      EXPECT_FALSE(backend->precedes_current(first));
     });
     rt.sync();
-    EXPECT_TRUE(backend->view().precedes_current(first));
+    EXPECT_TRUE(backend->precedes_current(first));
   });
 }
 
@@ -184,9 +184,9 @@ TEST_P(BothBackends, FutureEscapesEnclosingSync) {
     rt.spawn([&] {});
     rt.sync();
     // sync does not join the future.
-    EXPECT_FALSE(backend->view().precedes_current(fut_strand));
+    EXPECT_FALSE(backend->precedes_current(fut_strand));
     h.get();
-    EXPECT_TRUE(backend->view().precedes_current(fut_strand));
+    EXPECT_TRUE(backend->precedes_current(fut_strand));
   });
 }
 
@@ -205,7 +205,7 @@ TEST_P(BothBackends, DeepSpawnChainPrecedesAfterAllSyncs) {
   };
   rt.run([&] {
     go(5);
-    for (strand_id s : leaves) EXPECT_TRUE(backend->view().precedes_current(s));
+    for (strand_id s : leaves) EXPECT_TRUE(backend->precedes_current(s));
   });
   EXPECT_EQ(leaves.size(), 32u);
 }
@@ -230,13 +230,13 @@ TEST_P(BothBackends, FutureChainPipeline) {
       s3 = rt.current_strand();
       return h2.get() + 1;
     });
-    EXPECT_FALSE(backend->view().precedes_current(s1));
-    EXPECT_FALSE(backend->view().precedes_current(s2));
-    EXPECT_FALSE(backend->view().precedes_current(s3));
+    EXPECT_FALSE(backend->precedes_current(s1));
+    EXPECT_FALSE(backend->precedes_current(s2));
+    EXPECT_FALSE(backend->precedes_current(s3));
     EXPECT_EQ(h3.get(), 3);
-    EXPECT_TRUE(backend->view().precedes_current(s1));
-    EXPECT_TRUE(backend->view().precedes_current(s2));
-    EXPECT_TRUE(backend->view().precedes_current(s3));
+    EXPECT_TRUE(backend->precedes_current(s1));
+    EXPECT_TRUE(backend->precedes_current(s2));
+    EXPECT_TRUE(backend->precedes_current(s3));
   });
 }
 

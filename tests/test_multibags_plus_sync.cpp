@@ -37,7 +37,7 @@ struct rig {
     const rt::strand_id cur = rt.current_strand();
     for (rt::strand_id s : seen) {
       if (s == cur) continue;
-      ASSERT_EQ(mbp.view().precedes_current(s), oracle.precedes(s, cur))
+      ASSERT_EQ(mbp.precedes_current(s), oracle.precedes(s, cur))
           << "strand " << s << " vs current " << cur;
     }
   }

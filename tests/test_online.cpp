@@ -93,9 +93,9 @@ void expect_identical(const fingerprint& online, const fingerprint& replay) {
   }
   EXPECT_EQ(online.accesses, replay.accesses);
   EXPECT_EQ(online.gets, replay.gets);
-  // Query-plane counters too: online access runs are delimited by the same
-  // dag events the trace records, and the replay session's batch capacity
-  // below matches the pump's, so even the batching shape must agree.
+  // Query-plane counters too: the detector asks the backend once per strand
+  // and epoch, and online epochs are delimited by the same dag events the
+  // trace records, so the counters agree whatever the access runs' lengths.
   EXPECT_EQ(online.lookups, replay.lookups);
   EXPECT_EQ(online.cache_hits, replay.cache_hits);
   EXPECT_EQ(online.batches, replay.batches);
@@ -157,12 +157,10 @@ TEST_P(OnlineConformance, ReportMatchesSerialReplayOfItsOwnRecording) {
   EXPECT_EQ(online.query_stats().elided, 0u)
       << "a recording run must push every access into the trace";
 
-  // Replay: a fresh serial session over the recording. The batch capacity
-  // matches the pump's so the query-plane counters are comparable.
-  session replay(session::options{
-      .backend = c.backend,
-      .granule = e->granule,
-      .replay_batch = online::engine::kBatchCapacity});
+  // Replay: a fresh serial session over the recording, at the default
+  // replay batch (the pump batches up to engine::kBatchCapacity).
+  session replay(
+      session::options{.backend = c.backend, .granule = e->granule});
   replay.replay(tape);
   tape.rewind();
   expect_identical(live, fingerprint_of(replay));
@@ -210,10 +208,8 @@ TEST(OnlineRecording, ContainerWrittenOnThePumpReplaysToTheOnlineReport) {
     std::istringstream in(packed.str(), std::ios::binary);
     container::container_source src(in);
     EXPECT_GT(src.info().chunks.size(), 8u);
-    session replay(session::options{
-        .backend = "multibags+",
-        .granule = e->granule,
-        .replay_batch = online::engine::kBatchCapacity});
+    session replay(
+        session::options{.backend = "multibags+", .granule = e->granule});
     replay.replay(src);
     expect_identical(live, fingerprint_of(replay));
   }
@@ -460,9 +456,10 @@ TEST(OnlineEngine, HeldBytesStayBoundedOverSequentialSpawnsAndFutures) {
 // One window longer than a batch and than a segment, with a no-op sync in
 // it, after children that run inline at their parent's sync (node switches
 // on one worker). Every read in the window has a different prior writer
-// every 16 cells, so cutting the run anywhere issues one more reachability
-// batch: the pump must batch exactly as the serial replay of its recording.
-TEST(OnlineEngine, RunsAcrossSegmentBoundariesBatchLikeTheReplay) {
+// every 16 cells. The pump cuts the window into runs at segment and batch
+// boundaries the serial replay of its recording (at its default batch of
+// 256) does not share, and the query-plane counters must not see the cuts.
+TEST(OnlineEngine, RunsAcrossSegmentBoundariesCountLikeTheReplay) {
   constexpr std::size_t kBlock = 16;
   constexpr std::size_t kCells =
       (online::engine::kBatchCapacity + online::segment::kAccesses + 1000) /
@@ -493,8 +490,7 @@ TEST(OnlineEngine, RunsAcrossSegmentBoundariesBatchLikeTheReplay) {
     program(online);
     EXPECT_EQ(online.access_count(), 2 * kCells);
     EXPECT_EQ(online.report().total(), 0u);
-    session replay(session::options{
-        .replay_batch = online::engine::kBatchCapacity});
+    session replay;
     replay.replay(tape);
     expect_identical(fingerprint_of(online), fingerprint_of(replay));
   }

@@ -1,23 +1,22 @@
-// Query-plane tests: the snapshot-based batched reachability API.
+// Query-plane tests: each backend's precedes_current and the detector's
+// per-epoch answer cache in front of it.
 //
 // Three angles:
-//   1. Differential batched-vs-scalar: for every corpus entry × eligible
-//      backend, a batch query (unsorted, duplicate-laden) must answer
-//      exactly like one-element scalar queries at many points of the
-//      replayed stream — this pins the views' sort/dedup/hoist plumbing to
-//      the per-element semantics.
-//   2. Epoch invalidation: version() advances on every dag event, a view's
-//      answers change with it, and the detector's per-epoch answer cache
-//      must not leak a stale verdict across a dag event.
-//   3. Counters: the detector's query_plane_stats reflect real batching
-//      (memoization within an epoch, one view query per access run).
+//   1. Backends against the oracle: for every corpus entry × eligible
+//      backend, the backend's precedes_current must answer exactly like the
+//      exact graph::online_oracle riding the same replayed stream, for a
+//      window of recent strands at many points of the stream.
+//   2. Epoch invalidation: version() advances on every dag event, a
+//      backend's answers change with it, and the detector's per-epoch
+//      answer cache must not leak a stale verdict across a dag event.
+//   3. Counters: the detector's query_plane_stats count one backend call
+//      per strand and epoch (memoization within an epoch).
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,7 @@
 #include "detect/backend.hpp"
 #include "detect/multibags_plus.hpp"
 #include "detect/registry.hpp"
+#include "graph/oracle.hpp"
 #include "runtime/serial.hpp"
 #include "trace/player.hpp"
 
@@ -38,57 +38,47 @@ std::string corpus_dir() {
   return FRD_CORPUS_DIR;
 }
 
-// ------------------------------------------------- batched vs scalar ----
+// ------------------------------------------------ backend vs oracle ----
 
-// Rides a replayed dag stream next to a backend (mux order: backend first)
-// and, every few strands, asks the backend's view one shuffled,
-// duplicate-laden batch over the strands seen so far — comparing each slot
-// against the one-element wrapper.
-class batch_checker final : public rt::execution_listener {
+// Rides a replayed dag stream behind a backend and the exact oracle (mux
+// order: backend, oracle, checker) and, every third strand, asks the
+// backend about each strand of a window of recent ones, comparing every
+// answer with the oracle's.
+class oracle_checker final : public rt::execution_listener {
  public:
-  explicit batch_checker(reachability_backend& b) : backend_(b) {}
+  oracle_checker(reachability_backend& b, const graph::online_oracle& o)
+      : backend_(b), oracle_(o) {}
 
-  std::uint64_t batches_checked = 0;
-  std::uint64_t slots_checked = 0;
+  std::uint64_t queries_checked = 0;
 
   void on_program_begin(rt::func_id, rt::strand_id s) override { seen(s); }
   void on_strand_begin(rt::strand_id s, rt::func_id) override {
     seen(s);
-    if (++events_ % 3 == 0) check_batch();
+    if (++events_ % 3 == 0) check_window();
   }
 
  private:
   void seen(rt::strand_id s) {
+    current_ = s;
     known_.push_back(s);
     if (known_.size() > kWindow) known_.erase(known_.begin());
   }
 
-  void check_batch() {
-    if (known_.size() < 2) return;
-    // Reverse order (unsorted) + every strand twice (duplicates): the
-    // general path of answer_strand_batch, scattered back per slot.
-    std::vector<rt::strand_id> batch;
-    for (auto it = known_.rbegin(); it != known_.rend(); ++it) {
-      batch.push_back(*it);
-      batch.push_back(*it);
-    }
-    reachability_view& view = backend_.view();
-    std::span<bool> out = buf_.span(batch.size());
-    view.query(batch, out);
-    ++batches_checked;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const bool scalar = view.precedes_current(batch[i]);
-      ASSERT_EQ(out[i], scalar)
-          << "batched answer diverged from the one-element wrapper for "
-          << "strand " << batch[i] << " (backend " << backend_.name() << ")";
-      ++slots_checked;
+  void check_window() {
+    for (const rt::strand_id u : known_) {
+      if (u == current_) continue;
+      ASSERT_EQ(backend_.precedes_current(u), oracle_.precedes(u, current_))
+          << "strand " << u << " vs current " << current_ << " (backend "
+          << backend_.name() << ")";
+      ++queries_checked;
     }
   }
 
   static constexpr std::size_t kWindow = 48;
   reachability_backend& backend_;
+  const graph::online_oracle& oracle_;
   std::vector<rt::strand_id> known_;
-  bool_buffer buf_;
+  rt::strand_id current_ = rt::kNoStrand;
   std::uint64_t events_ = 0;
 };
 
@@ -114,9 +104,9 @@ std::vector<query_case> all_query_cases() {
   return out;
 }
 
-class BatchedVsScalar : public ::testing::TestWithParam<query_case> {};
+class BackendVsOracle : public ::testing::TestWithParam<query_case> {};
 
-TEST_P(BatchedVsScalar, CorpusReplayAgrees) {
+TEST_P(BackendVsOracle, CorpusReplayAgrees) {
   const query_case& c = GetParam();
   const corpus::manifest m = corpus::load_manifest(corpus_dir() + "/MANIFEST");
   const corpus::corpus_entry* e = m.find(c.entry);
@@ -126,15 +116,16 @@ TEST_P(BatchedVsScalar, CorpusReplayAgrees) {
 
   std::unique_ptr<reachability_backend> backend =
       backend_registry::instance().create(c.backend);
-  batch_checker checker(*backend);
+  graph::online_oracle oracle;
+  oracle_checker checker(*backend, oracle);
   rt::listener_mux mux;
   mux.add(backend.get());
+  mux.add(&oracle);
   mux.add(&checker);
   trace::trace_player player(tape);
   player.play(&mux, /*sink=*/nullptr);
 
-  EXPECT_GT(checker.batches_checked, 0u) << "vacuous run: no batch checked";
-  EXPECT_GT(checker.slots_checked, 0u);
+  EXPECT_GT(checker.queries_checked, 0u) << "vacuous run: nothing checked";
 }
 
 std::string query_case_name(const ::testing::TestParamInfo<query_case>& info) {
@@ -145,7 +136,7 @@ std::string query_case_name(const ::testing::TestParamInfo<query_case>& info) {
   return s;
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, BatchedVsScalar,
+INSTANTIATE_TEST_SUITE_P(Corpus, BackendVsOracle,
                          ::testing::ValuesIn(all_query_cases()),
                          query_case_name);
 
@@ -163,7 +154,7 @@ TEST(QueryPlaneEpoch, EveryDagEventAdvancesTheVersion) {
     return ok;
   };
   rt.run([&] {
-    EXPECT_TRUE(bumped()) << "program_begin must invalidate views";
+    EXPECT_TRUE(bumped()) << "program_begin must open an epoch";
     rt.spawn([&] { EXPECT_TRUE(bumped()) << "spawn/strand_begin"; });
     EXPECT_TRUE(bumped()) << "return/strand_begin after the child";
     auto f = rt.create_future([&] {
@@ -179,20 +170,17 @@ TEST(QueryPlaneEpoch, EveryDagEventAdvancesTheVersion) {
   EXPECT_TRUE(bumped()) << "program_end";
 }
 
-TEST(QueryPlaneEpoch, ViewAnswersTrackDagEventsAcrossEpochs) {
+TEST(QueryPlaneEpoch, AnswersTrackDagEventsAcrossEpochs) {
   multibags_plus mbp;
   rt::serial_runtime rt(&mbp);
   rt::strand_id child = rt::kNoStrand;
   rt.run([&] {
     rt.spawn([&] { child = rt.current_strand(); });
-    // The view object is stable across epochs; its answers are not.
-    reachability_view& view = mbp.view();
-    const std::uint64_t before = view.version();
-    EXPECT_FALSE(view.precedes_current(child)) << "spawn child is parallel";
+    const std::uint64_t before = mbp.version();
+    EXPECT_FALSE(mbp.precedes_current(child)) << "spawn child is parallel";
     rt.sync();
-    EXPECT_GT(view.version(), before)
-        << "the dag event must invalidate the outstanding view";
-    EXPECT_TRUE(view.precedes_current(child)) << "ordered after the sync";
+    EXPECT_GT(mbp.version(), before) << "the dag event must open a new epoch";
+    EXPECT_TRUE(mbp.precedes_current(child)) << "ordered after the sync";
   });
 }
 
@@ -232,7 +220,7 @@ TEST(QueryPlaneStats, MemoizationCollapsesRepeatQuestionsWithinAnEpoch) {
       for (int i = 0; i < kCells; ++i) s.write(&cells[i]);
     });
     // 64 prior-writer questions, all about the same child strand, with no
-    // dag event in between: one view query, 63 epoch-cache hits.
+    // dag event in between: one backend call, 63 epoch-cache hits.
     for (int i = 0; i < kCells; ++i) s.write(&cells[i]);
     rt.sync();
   });
@@ -244,10 +232,10 @@ TEST(QueryPlaneStats, MemoizationCollapsesRepeatQuestionsWithinAnEpoch) {
   EXPECT_EQ(s.report().racy_granules().size(), static_cast<std::size_t>(kCells));
 }
 
-TEST(QueryPlaneStats, ReplayBatchesWholeRuns) {
+TEST(QueryPlaneStats, ReplayedRunAsksTheBackendOncePerStrand) {
   // Record a program whose racy run spans many accesses, then replay it:
-  // the player hands the run to the detector in one on_accesses call, so
-  // the whole run resolves through at most one view query.
+  // the player hands the run to the detector in one on_accesses call, and
+  // its 32 questions about one strand in one epoch make one backend call.
   trace::memory_trace tape(trace::trace_header{trace::kTraceVersion, 4});
   constexpr int kCells = 32;
   alignas(64) static int cells[kCells];
@@ -268,7 +256,7 @@ TEST(QueryPlaneStats, ReplayBatchesWholeRuns) {
   rep.replay(tape);
   const detect::query_plane_stats& q = rep.query_stats();
   EXPECT_EQ(q.lookups, static_cast<std::uint64_t>(kCells));
-  EXPECT_EQ(q.batches, 1u) << "one access run must issue one view query";
+  EXPECT_EQ(q.batches, 1u) << "one strand in one epoch is one backend call";
   EXPECT_EQ(q.strands, 1u);
   EXPECT_EQ(rep.report().racy_granules().size(),
             static_cast<std::size_t>(kCells));

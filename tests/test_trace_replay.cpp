@@ -10,11 +10,14 @@
 // trace are the granule addresses the live runs touch.
 //
 // The other half: hostile traces (hostile_traces.hpp), whose dag events the
-// canonical walk would not emit, end in a trace_error under every backend.
+// canonical walk would not emit, end in a trace_error under every backend,
+// and seeded mutations of the checked-in corpus end in success or a typed
+// error.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -22,9 +25,13 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "container/writer.hpp"
+#include "corpus/manifest.hpp"
 #include "detect/registry.hpp"
 #include "graph/fuzz.hpp"
 #include "hostile_traces.hpp"
+#include "shadow/store.hpp"
+#include "support/prng.hpp"
 #include "trace/codec.hpp"
 #include "trace/event.hpp"
 
@@ -204,6 +211,120 @@ TEST(HostileTrace, TheCheckedInStreamIsTheFirstCase) {
   EXPECT_EQ(checked_in, trace::testing::hostile_bytes(cases[0]));
   EXPECT_EQ(checked_in.size(), 46u);
   EXPECT_EQ(trace::testing::hostile_bytes(cases[1]).size(), 25u);
+}
+
+// ----------------------------------------------------- seeded mutations --
+
+std::string corpus_dir() {
+  if (const char* env = std::getenv("FRD_CORPUS_DIR")) return env;
+  return FRD_CORPUS_DIR;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// The .frdtz form of a flat FRDT byte string, as `frd-trace pack` writes it.
+std::string packed(const std::string& flat) {
+  std::istringstream in(flat, std::ios::binary);
+  trace::trace_reader reader(in);
+  std::ostringstream out(std::ios::binary);
+  container::container_writer w(out, reader.header());
+  trace::trace_event e;
+  while (reader.next(e)) w.put(e);
+  w.finish();
+  return out.str();
+}
+
+// One mutation of a non-empty byte string: bit flips, a truncation, an
+// inserted run of bytes with the 0x80 bit set (a varint that runs long or
+// never ends), or a deleted span.
+std::string mutated(std::string s, prng& rng) {
+  switch (rng.below(4)) {
+    case 0:
+      for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
+        s[rng.below(s.size())] ^= static_cast<char>(1u << rng.below(8));
+      }
+      break;
+    case 1:
+      s.resize(rng.below(s.size()));
+      break;
+    case 2: {
+      std::string run(1 + rng.below(12), '\0');
+      for (char& c : run) c = static_cast<char>(0x80 | rng.below(0x80));
+      s.insert(rng.below(s.size() + 1), run);
+      break;
+    }
+    default:
+      s.erase(rng.below(s.size()), 1 + rng.below(16));
+      break;
+  }
+  return s;
+}
+
+// The trace readers against corrupted bytes. Every small checked-in .frdt
+// entry, bare and packed into a .frdtz, is mutated by a fixed-seed prng, and
+// each mutant is opened with open_source and replayed under three backends.
+// It must end in success or in a trace_error, backend_error or store_error
+// (no crash, no hang, no other exception), and the detector's peak
+// footprint must stay under kPeakBound. A mutant that breaks this becomes a
+// declarative case in hostile_traces.hpp; mutant i is reproduced by the
+// same seed and loop.
+TEST(HostileTrace, SeededMutationsEndInSuccessOrATypedError) {
+  constexpr std::uint64_t kSeed = 29;
+  constexpr int kMutations = 2000;
+  constexpr std::size_t kMaxInputBytes = 32 * 1024;
+  // A few shadow pages (2 MiB each): corrupted addresses may spread the
+  // accesses over more pages than the entry touches, but not without bound.
+  constexpr std::size_t kPeakBound = std::size_t{32} << 20;
+
+  struct input {
+    std::string name;
+    std::uint32_t granule;
+    std::string bytes;
+  };
+  std::vector<input> inputs;
+  const corpus::manifest m =
+      corpus::load_manifest(corpus_dir() + "/MANIFEST");
+  for (const corpus::corpus_entry& e : m.entries) {
+    if (!e.trace_file.ends_with(".frdt")) continue;
+    const std::string flat = read_file(corpus_dir() + "/" + e.trace_file);
+    if (flat.size() > kMaxInputBytes) continue;
+    inputs.push_back({e.name + ".frdt", e.granule, flat});
+    inputs.push_back({e.name + ".frdtz", e.granule, packed(flat)});
+  }
+  ASSERT_GE(inputs.size(), 20u) << "too few small corpus entries";
+
+  prng rng(kSeed);
+  std::uint64_t replayed = 0, refused = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const input& in = inputs[rng.below(inputs.size())];
+    const std::string bytes = mutated(in.bytes, rng);
+    for (const char* backend : {"multibags+", "multibags", "vector-clock"}) {
+      SCOPED_TRACE("mutant " + std::to_string(i) + " of " + in.name +
+                   " under " + backend);
+      session s(session::options{.backend = backend, .granule = in.granule});
+      try {
+        std::istringstream stream(bytes, std::ios::binary);
+        s.replay(*trace::open_source(stream));
+        ++replayed;
+      } catch (const trace::trace_error&) {
+        ++refused;
+      } catch (const detect::backend_error&) {
+        ++refused;
+      } catch (const shadow::store_error&) {
+        ++refused;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "not a typed error: " << e.what();
+      }
+      ASSERT_LE(s.memory_stats().peak_total_bytes, kPeakBound);
+    }
+  }
+  EXPECT_GT(replayed, 0u) << "no mutant replayed: the mutations are too coarse";
+  EXPECT_GT(refused, 0u) << "no mutant was refused";
 }
 
 }  // namespace

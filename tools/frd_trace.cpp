@@ -174,9 +174,9 @@ void print_report(const session& s, std::uint64_t events) {
   std::printf("races:          %llu (%zu distinct granules)\n",
               static_cast<unsigned long long>(s.report().total()),
               s.report().racy_granules().size());
-  // Query-plane counters: how the §3 protocol's reachability questions
-  // batched (lookups -> epoch-cache hits -> issued view queries). A
-  // regression in batching effectiveness shows up here, not just in perf.
+  // Query-plane counters: how the §3 protocol's reachability questions were
+  // answered (lookups -> epoch-cache hits -> backend calls). A drop in the
+  // cache's effectiveness shows up here, not just in perf.
   const frd::detect::query_plane_stats& q = s.query_stats();
   std::printf("reach lookups:  %llu (epoch-cache hits %llu, %.1f%%)\n",
               static_cast<unsigned long long>(q.lookups),
@@ -184,11 +184,8 @@ void print_report(const session& s, std::uint64_t events) {
               q.lookups ? 100.0 * static_cast<double>(q.cache_hits) /
                               static_cast<double>(q.lookups)
                         : 0.0);
-  std::printf("view queries:   %llu (%.2f strands/batch)\n",
-              static_cast<unsigned long long>(q.batches),
-              q.batches ? static_cast<double>(q.strands) /
-                              static_cast<double>(q.batches)
-                        : 0.0);
+  std::printf("reach queries:  %llu\n",
+              static_cast<unsigned long long>(q.strands));
   if (q.sampled + q.skipped > 0) {
     std::printf("sampling plane: %llu accesses detected, %llu skipped "
                 "(%.1f%% admitted)\n",
@@ -650,8 +647,7 @@ int cmd_stats(const std::string& path) {
   std::uint64_t total = 0, accesses = 0;
   std::uint32_t max_strand = 0;
   // Access-run shape: maximal runs of consecutive read/write events — the
-  // trace-side bound on the player's batches and on how many accesses can
-  // share one batched reachability query.
+  // trace-side bound on the player's batches.
   std::uint64_t runs = 0, run_len = 0, max_run = 0;
   trace::trace_event e;
   while (src->next(e)) {
